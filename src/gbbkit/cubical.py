@@ -21,10 +21,30 @@ squares are parametrized by explicit group data:
       E4 = (j+1, u,  q + tau(u') + rho_1(eta(u,u')))      upper-right
 
   where eta is the cover's edge-transport element.  Corner closure (the
-  tops of E3 and E4 agree at height j+2) is asserted during construction,
-  and the whole parametrization is validated against the link oracle:
-  every vertex link must be the doubled base complex (height in S) or the
-  doubled total space of the cover (height outside S, rho_j injective).
+  tops of E3 and E4 agree at height j+2) is asserted during construction.
+
+Q acts on the complex by translating the torsor coordinate,
+(j, u, q') -> (j, u, q' + q).  Construction asserts once that, for each
+height and base edge, the sides of every square sit at the same offsets
+from its lower-left side and the lower-left side runs over Q exactly once.
+Translation then maps squares to squares, so it is an automorphism, and it
+acts transitively on the cosets Q/P_j, the vertices of height j.  Links and
+the four specialness pathologies are local and invariant under
+automorphisms (Haglund and Wise, "Special cube complexes", GAFA 18, 2008),
+so one vertex v = (j, r) per height carries the link certificate.  Its
+link must be the doubled base complex S(L) (height in S) or the doubled
+total space S(M) of the cover (height outside S, rho_j injective), through
+the map the parametrization predicts:
+
+* height in S:  (e, up) -> (label(e), +1),  (e, down) -> (label(e), -1);
+* otherwise:    (j, u, q') up      -> ((u, rho_j^-1(r - q')), +1),
+                (j-1, u, q'') down -> ((u, rho_j^-1(r - q'' - tau(u))), -1),
+  onto S(M) with each vertex (u, g) of the cover renamed (u, g h(u)^-1),
+  h(u) the deck element of the chosen lift of u.
+
+The certificate checks that the map is a bijection onto the vertices of
+the doubled complex and that the edge sets are equal; a mismatch names the
+link edge.  Heights outside S where rho_j is not injective are unchecked.
 
 Hyperplanes, the four specialness pathologies, cylinders and their
 stabilizers, and the vertical-shift stabilization analysis all operate on
@@ -33,15 +53,13 @@ this finite model.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
-import networkx as nx
-
 from .errors import CubicalError, InternalError
 from .groups import AbelianGroup
-from .intsets import PeriodicSet
 from .quotients import FiniteQuotient, stabilizer_image
 from .simplicial import octahedralize
 
@@ -54,6 +72,18 @@ class Edge:
     j: int
     label: object
     q: object  # AbelianElement
+
+    def __post_init__(self):
+        # edges key every incidence table, so hash each one once
+        object.__setattr__(self, "_hash", hash((self.j, self.label, self.q)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than copy the cached hash, which differs between
+        # processes for string labels
+        return Edge, (self.j, self.label, self.q)
 
     def __repr__(self):
         return f"E(j={self.j},{self.label},{self.q.coords})"
@@ -81,6 +111,7 @@ class QuotientCubeComplex:
         self.presentation = pres
         self.quotient = quotient
         self.N = N
+        self._link_models = {}  # link tag -> its doubled complex
         self._build()
 
     # -- construction ---------------------------------------------------
@@ -109,10 +140,9 @@ class QuotientCubeComplex:
         # transport tables
         self.rho = {}
         self.P = {}  # height -> frozenset of subgroup elements
-        for j in range(N + 2):
-            rho_j, image = stabilizer_image(quotient, j)
-            self.rho[j % N] = self.rho.get(j % N, rho_j)
-            self.P[j % N] = self.P.get(j % N, frozenset(image.elements))
+        for j in range(N):
+            self.rho[j], image = stabilizer_image(quotient, j)
+            self.P[j] = frozenset(image.elements)
         for j in range(N):
             if j in S and len(self.P[j]) != 1:
                 raise InternalError("P_j nontrivial at a height in S")
@@ -131,56 +161,56 @@ class QuotientCubeComplex:
 
         # vertices: cosets Q/P_j, canonical representative = min of coset
         self.vertices = []
-        self._coset_rep = {}  # (j, element) -> representative
+        vertex_of = {}  # (j, element) -> (j, representative of its coset)
         for j in range(N):
-            Pj = self.P[j]
-            seen = set()
             for q in self.Q.elements():
-                if q in seen:
+                if (j, q) in vertex_of:
                     continue
-                coset = sorted(q * p for p in Pj)
-                rep = coset[0]
+                coset = sorted(q * p for p in self.P[j])
+                v = (j, coset[0])
                 for x in coset:
-                    self._coset_rep[(j, x)] = rep
-                    seen.add(x)
-                self.vertices.append((j, rep))
+                    vertex_of[(j, x)] = v
+                self.vertices.append(v)
 
-        # edges
+        # edges, with their bottom and top vertices computed once
         self.edges = [
             Edge(j, u, q)
             for j in range(N)
             for u in L.vertices
             for q in self.Q.elements()
         ]
-        self._edge_set = frozenset(self.edges)
+        self._ends = {}  # edge -> (bottom vertex, top vertex)
+        self._edges_by_bottom = {}
+        self._edges_by_top = {}
+        for e in self.edges:
+            j1 = (e.j + 1) % N
+            bottom = vertex_of[(e.j, e.q)]
+            top = vertex_of[(j1, e.q * self.tau[e.label])]
+            self._ends[e] = (bottom, top)
+            self._edges_by_bottom.setdefault(bottom, []).append(e)
+            self._edges_by_top.setdefault(top, []).append(e)
 
-        # squares, one per (height, base edge, torsor coordinate)
+        # squares, one per (height, base edge, torsor coordinate); their
+        # sides are the edge objects above
+        edge_at = {(e.j, e.label, e.q): e for e in self.edges}
         self.squares = []
         self._squares_of_edge = {e: [] for e in self.edges}
         for j in range(N):
             j1 = (j + 1) % N
             for base_edge in L.edges():
                 u, u2 = sorted(base_edge, key=L.vertex_position)
-                re_j = self.rho_eta[(j, u, u2)]
-                re_j1 = self.rho_eta[(j1, u, u2)]
-                re_1 = self.rho_eta[(1 % N, u, u2)]
+                d2 = self.rho_eta[(j, u, u2)].inverse()
+                d3 = self.tau[u] * self.rho_eta[(j1, u, u2)].inverse()
+                d4 = self.tau[u2] * self.rho_eta[(1 % N, u, u2)]
                 for q in self.Q.elements():
-                    e1 = Edge(j, u, q)
-                    e2 = Edge(j, u2, q * re_j.inverse())
-                    e3 = Edge(j1, u2, q * self.tau[u] * re_j1.inverse())
-                    e4 = Edge(j1, u, q * self.tau[u2] * re_1)
-                    sq = Square(e1, e2, e3, e4)
+                    sq = Square(edge_at[(j, u, q)], edge_at[(j, u2, q * d2)],
+                                edge_at[(j1, u2, q * d3)],
+                                edge_at[(j1, u, q * d4)])
                     self._check_square(sq)
                     self.squares.append(sq)
                     for e in sq.sides():
                         self._squares_of_edge[e].append(sq)
-
-        # incidence caches
-        self._edges_by_bottom = {}
-        self._edges_by_top = {}
-        for e in self.edges:
-            self._edges_by_bottom.setdefault(self.bottom(e), []).append(e)
-            self._edges_by_top.setdefault(self.top(e), []).append(e)
+        self._check_translation()
 
     def _check_square(self, sq):
         # lower sides share the bottom corner; vertical sides close up
@@ -195,13 +225,37 @@ class QuotientCubeComplex:
         if sq.e1.label == sq.e2.label:
             raise InternalError("adjacent square sides share a label")
 
+    def _check_translation(self):
+        """Translation by Q maps squares to squares: over each height and
+        base edge, every square's sides sit at one set of offsets from its
+        lower-left side, whose coordinate runs over Q exactly once."""
+        factors = self.Q.factors
+        shapes = {}  # (j, u, u') -> (side offsets, lower-left coordinates)
+        for sq in self.squares:
+            e1 = sq.e1
+            c1 = e1.q.coords
+            shape = tuple(
+                (e.j, e.label, tuple((x - y) % f for x, y, f in
+                                     zip(e.q.coords, c1, factors)))
+                for e in (sq.e2, sq.e3, sq.e4))
+            key = (e1.j, e1.label, sq.e2.label)
+            first, coords = shapes.setdefault(key, (shape, []))
+            if shape != first:
+                raise InternalError(
+                    f"square {sq.sides()} is not a translate of the first "
+                    f"square over {key}")
+            coords.append(c1)
+        for key, (_, coords) in shapes.items():
+            if len(coords) != self.Q.order or len(set(coords)) != len(coords):
+                raise InternalError(
+                    f"the squares over {key} do not form one Q-orbit")
+
     # -- incidence -------------------------------------------------------
     def bottom(self, e):
-        return (e.j, self._coset_rep[(e.j, e.q)])
+        return self._ends[e][0]
 
     def top(self, e):
-        j1 = (e.j + 1) % self.N
-        return (j1, self._coset_rep[(j1, e.q * self.tau[e.label])])
+        return self._ends[e][1]
 
     def translate_edge(self, e, q):
         """The action of Q on edges (translation of the torsor coordinate)."""
@@ -226,9 +280,9 @@ class QuotientCubeComplex:
 
 def build_quotient(pres, quotient: FiniteQuotient, N, validate_links=True,
                    require_torsion_free=False):
-    """Build the wrapped complex and (by default) validate every vertex
-    link against the expected doubled complexes; a link failure is an
-    internal construction trap, not a data error."""
+    """Build the wrapped complex and (by default) certify the link at one
+    vertex per height against the expected doubled complexes; a link
+    failure is an internal construction trap, not a data error."""
     Y = QuotientCubeComplex(pres, quotient, N)
     if require_torsion_free:
         from .quotients import kernel_torsion_free
@@ -243,84 +297,142 @@ def build_quotient(pres, quotient: FiniteQuotient, N, validate_links=True,
 # ---------------------------------------------------------------------------
 # links
 
+_SIGN = {"up": 1, "down": -1}
 
-def _link_graph(Y, v):
-    """The link of a vertex as a graph: nodes are edge-ends incident at v
-    ((edge, 'up') for edges rising from v, (edge, 'down') for edges
+# the corners of a square pair edge-ends, written (side index, role):
+# bottom of e1 and e2, top of e1 = bottom of e3, top of e2 = bottom of e4,
+# top of e3 and e4; each end of each side lies in exactly one corner
+_PARTNER = {
+    (0, "up"): (1, "up"), (1, "up"): (0, "up"),
+    (0, "down"): (2, "up"), (2, "up"): (0, "down"),
+    (1, "down"): (3, "up"), (3, "up"): (1, "down"),
+    (2, "down"): (3, "down"), (3, "down"): (2, "down"),
+}
+
+
+def _link(Y, v):
+    """The link of a vertex as adjacency sets: nodes are edge-ends incident
+    at v ((edge, 'up') for edges rising from v, (edge, 'down') for edges
     arriving at v) and link edges come from the four corners of each
-    square at v."""
-    g = nx.Graph()
-    for e in Y._edges_by_bottom.get(v, ()):
-        g.add_node((e, "up"))
-    for e in Y._edges_by_top.get(v, ()):
-        g.add_node((e, "down"))
-    for e in Y._edges_by_bottom.get(v, ()):
+    square at v.  The corner through an end at v lies at v, because the
+    construction checks that every square's corners close."""
+    link = {(e, "up"): set() for e in Y._edges_by_bottom.get(v, ())}
+    link.update(((e, "down"), set()) for e in Y._edges_by_top.get(v, ()))
+    for (e, role), near in link.items():
         for sq in Y._squares_of_edge[e]:
-            _add_corner_edges(Y, g, sq, v)
-    for e in Y._edges_by_top.get(v, ()):
-        for sq in Y._squares_of_edge[e]:
-            _add_corner_edges(Y, g, sq, v)
-    return g
+            sides = sq.sides()
+            for k, side in enumerate(sides):
+                if side is e:  # squares are built from Y's own edge objects
+                    other, other_role = _PARTNER[(k, role)]
+                    near.add((sides[other], other_role))
+    return link
 
 
-def _add_corner_edges(Y, g, sq, v):
-    corners = [
-        (Y.bottom(sq.e1), (sq.e1, "up"), (sq.e2, "up")),
-        (Y.top(sq.e1), (sq.e1, "down"), (sq.e3, "up")),
-        (Y.top(sq.e2), (sq.e2, "down"), (sq.e4, "up")),
-        (Y.top(sq.e3), (sq.e3, "down"), (sq.e4, "down")),
-    ]
-    for corner, end1, end2 in corners:
-        if corner == v:
-            g.add_edge(end1, end2)
+def _doubled(Y, tag):
+    """(vertices, edges) of the doubled complex a link of type ``tag`` must
+    equal: octahedralize(L) for 'S(L)'; for 'S(M)', octahedralize of the
+    cover's total space with each vertex (u, g) renamed (u, g h(u)^-1)."""
+    if tag not in Y._link_models:
+        cover = Y.presentation.cover
+        if tag == "S(L)":
+            oc = octahedralize(Y.presentation.L)
+            name = {x: x for x in oc.vertices}
+        else:
+            oc = octahedralize(cover.total)
+            name = {((u, g), sign): ((u, g * cover.h[u].inverse()), sign)
+                    for (u, g), sign in oc.vertices}
+        Y._link_models[tag] = (
+            frozenset(name.values()),
+            frozenset(frozenset(name[x] for x in e) for e in oc.edges()),
+        )
+    return Y._link_models[tag]
 
 
-def _doubled_graph(cx):
-    """1-skeleton of the doubled (octahedralized) complex as a plain
-    graph."""
-    oc = octahedralize(cx)
-    g = nx.Graph()
-    g.add_nodes_from(oc.vertices)
-    for e in oc.edges():
-        a, b = tuple(e)
-        g.add_edge(a, b)
-    return g
+def _predicted_map(Y, v, link, tag):
+    """The map from the link at v = (j, r) onto the doubled complex that
+    the parametrization predicts (see the module docstring); an end whose
+    offset lies outside P_j maps to a deck element of None."""
+    if tag == "S(L)":
+        return {end: (end[0].label, _SIGN[end[1]]) for end in link}
+    j, r = v
+    deck_of = {x: g for g, x in Y.rho[j].items()}
+    out = {}
+    for e, role in link:
+        reached = e.q if role == "up" else e.q * Y.tau[e.label]
+        out[(e, role)] = ((e.label, deck_of.get(r * reached.inverse())),
+                          _SIGN[role])
+    return out
+
+
+def _link_mismatch(Y, v, link, tag):
+    """None when the predicted map is an isomorphism from the link at v
+    onto the doubled complex ``tag``; otherwise the reason, naming the
+    link end or link edge that does not match."""
+    nodes, edges = _doubled(Y, tag)
+    phi = _predicted_map(Y, v, link, tag)
+    back = {}
+    for end, image in phi.items():
+        if image not in nodes:
+            return f"link end {end} maps to {image}, not a vertex of {tag}"
+        if image in back:
+            return f"link ends {back[image]} and {end} both map to {image}"
+        back[image] = end
+    if len(back) != len(nodes):
+        missing = min(nodes - back.keys(), key=repr)
+        return f"no link end maps to the vertex {missing} of {tag}"
+    hit = set()
+    for a, near in link.items():
+        for b in near:
+            image = frozenset((phi[a], phi[b]))
+            if image not in edges:
+                return (f"link edge {a} -- {b} maps to {phi[a]} -- {phi[b]}, "
+                        f"not an edge of {tag}")
+            hit.add(image)
+    if len(hit) != len(edges):
+        x, y = min((sorted(e, key=repr) for e in edges - hit), key=repr)
+        return (f"no link edge {back[x]} -- {back[y]} over the edge "
+                f"{x} -- {y} of {tag}")
+    return None
+
+
+def _injective(Y, j):
+    return len(set(Y.rho[j].values())) == Y.presentation.cover.deck.order
 
 
 def vertex_link(Y, v):
-    """(link graph, tag) where the tag identifies the link up to
-    isomorphism: 'S(L)' for the doubled base, 'S(M)' for the doubled cover
-    total space, 'quotient-of-S(M)' for branched heights with non-injective
-    rho, otherwise 'unknown'."""
-    g = _link_graph(Y, v)
-    if nx.is_isomorphic(g, _doubled_graph(Y.presentation.L)):
-        return g, "S(L)"
-    if nx.is_isomorphic(g, _doubled_graph(Y.presentation.cover.total)):
-        return g, "S(M)"
+    """(link, tag): the link as adjacency sets over edge-ends, and 'S(L)'
+    for the doubled base or 'S(M)' for the doubled cover total space when
+    the predicted map certifies it; otherwise 'quotient-of-S(M)' at
+    heights outside S and 'unknown' at heights in S."""
+    link = _link(Y, v)
     j = v[0]
-    if j % Y.N not in Y.presentation.S:
-        return g, "quotient-of-S(M)"
-    return g, "unknown"
+    if len(Y.P[j]) == 1 and _link_mismatch(Y, v, link, "S(L)") is None:
+        return link, "S(L)"
+    if _injective(Y, j) and _link_mismatch(Y, v, link, "S(M)") is None:
+        return link, "S(M)"
+    if j not in Y.presentation.S:
+        return link, "quotient-of-S(M)"
+    return link, "unknown"
 
 
 def _validate_all_links(Y):
+    """Certify the link at the first vertex of each height; translation by
+    Q, asserted during construction, carries it to the other vertices of
+    that height."""
     S = Y.presentation.S
-    gl = _doubled_graph(Y.presentation.L)
-    gm = _doubled_graph(Y.presentation.cover.total)
-    deck = Y.presentation.cover.deck
+    first = {}
     for v in Y.vertices:
-        j = v[0]
-        g = _link_graph(Y, v)
+        first.setdefault(v[0], v)
+    for j, v in first.items():
         if j in S:
-            if not nx.is_isomorphic(g, gl):
-                raise InternalError(f"link at {v} is not the doubled base")
+            tag, model = "S(L)", "the doubled base"
+        elif _injective(Y, j):
+            tag, model = "S(M)", "the doubled cover total space"
         else:
-            rho = Y.rho[j]
-            injective = len(set(rho.values())) == deck.order
-            if injective and not nx.is_isomorphic(g, gm):
-                raise InternalError(
-                    f"link at {v} is not the doubled cover total space"
-                )
+            continue
+        reason = _link_mismatch(Y, v, _link(Y, v), tag)
+        if reason is not None:
+            raise InternalError(f"link at {v} is not {model}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +451,21 @@ class Hyperplane:
 
 
 class _UnionFind:
+    """Union-find over the given items; every root is one of the items
+    themselves, so identity decides."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
 
     def find(self, x):
-        while self.parent[x] != x:
+        while self.parent[x] is not x:
             self.parent[x] = self.parent[self.parent[x]]
             x = self.parent[x]
         return x
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
+        if ra is not rb:
             self.parent[ra] = rb
 
 
@@ -482,28 +597,30 @@ def specialness(Y):
             if plane_of[a] is plane_of[b]:
                 report.self_intersections.append((plane_of[a], sq))
 
+    name = {e: repr(e) for e in Y.edges}
     seen_self = set()
     seen_inter = set()
     for v in Y.vertices:
-        g = _link_graph(Y, v)
-        nodes = sorted(g.nodes, key=lambda n: (repr(n[0]), n[1]))
-        for (e1, r1), (e2, r2) in itertools.combinations(nodes, 2):
-            if e1 == e2 or g.has_edge((e1, r1), (e2, r2)):
-                continue
-            h1, h2 = plane_of[e1], plane_of[e2]
-            if h1 is h2:
-                # same direction toward v means same link role
-                if r1 == r2 and h1.index not in seen_self:
-                    seen_self.add(h1.index)
-                    report.self_osculations.append((h1, (e1, e2)))
-            elif (
-                h2.index in adjacent_planes[e1]
-                and h1.index in adjacent_planes[e2]
-            ):
-                key = frozenset((h1.index, h2.index))
-                if key not in seen_inter:
-                    seen_inter.add(key)
-                    report.inter_osculations.append(((h1, h2), (e1, e2)))
+        link = _link(Y, v)
+        ends = [(end, plane_of[end[0]], adjacent_planes[end[0]])
+                for end in sorted(link, key=lambda n: (name[n[0]], n[1]))]
+        for i, ((e1, r1), h1, crossing1) in enumerate(ends):
+            linked = link[(e1, r1)]
+            for end2, h2, crossing2 in ends[i + 1:]:
+                # link ends carry Y's own edge objects
+                e2, r2 = end2
+                if e1 is e2 or end2 in linked:
+                    continue
+                if h1 is h2:
+                    # same direction toward v means same link role
+                    if r1 == r2 and h1.index not in seen_self:
+                        seen_self.add(h1.index)
+                        report.self_osculations.append((h1, (e1, e2)))
+                elif h2.index in crossing1 and h1.index in crossing2:
+                    key = frozenset((h1.index, h2.index))
+                    if key not in seen_inter:
+                        seen_inter.add(key)
+                        report.inter_osculations.append(((h1, h2), (e1, e2)))
     report.inter_osculations.sort(
         key=lambda item: sorted((item[0][0].index, item[0][1].index))
     )
@@ -535,13 +652,26 @@ def cylinders(Y):
     over the simplex belong to one component) and, for vertex labels,
     through the vertical continuation (j, u, q) -> (j+1, u, q + tau(u));
     components are NOT merged across mere vertex contact at branched
-    vertices.  Each cylinder records its setwise stabilizer in Q."""
+    vertices.  Each cylinder records its setwise stabilizer in Q.
+
+    Translation by Q is a label-preserving automorphism that commutes with
+    the vertical continuation, so it permutes the components over each
+    simplex, and q stabilizes the component C through e0 exactly when
+    e0 + q lies in C."""
     L = Y.presentation.L
+    edges_of = {}    # label -> [(position in Y.edges, edge)]
+    for item in enumerate(Y.edges):
+        edges_of.setdefault(item[1].label, []).append(item)
+    squares_of = {}  # label pair -> [(position in Y.squares, square)]
+    for item in enumerate(Y.squares):
+        squares_of.setdefault(item[1].labels(), []).append(item)
     out = []
     for simplex in sorted(L.simplices, key=lambda s: (len(s), sorted(map(str, s)))):
-        labels = set(simplex)
-        member_edges = [e for e in Y.edges if e.label in labels]
-        member_squares = [sq for sq in Y.squares if sq.labels() <= labels]
+        member_edges = [e for _, e in heapq.merge(
+            *(edges_of[u] for u in simplex))]
+        member_squares = [sq for _, sq in heapq.merge(*(
+            squares_of.get(frozenset(pair), ())
+            for pair in itertools.combinations(simplex, 2)))]
         uf = _UnionFind(member_edges)
         if len(simplex) == 1:
             (u,) = tuple(simplex)
@@ -554,18 +684,17 @@ def cylinders(Y):
             uf.union(sq.e1, sq.e4)
         comps = {}
         for e in member_edges:
-            comps.setdefault(uf.find(e), set()).add(e)
-        for members in comps.values():
-            fs = frozenset(members)
-            stab = frozenset(
-                q for q in Y.Q.elements()
-                if all(Y.translate_edge(e, q) in fs for e in members)
-            )
-            sqs = tuple(
-                sq for sq in member_squares
-                if sq.e1 in fs and sq.e2 in fs and sq.e3 in fs and sq.e4 in fs
-            )
-            cyl = Cylinder(frozenset(simplex), fs, sqs, stab)
+            comps.setdefault(uf.find(e), []).append(e)
+        squares_in = {}
+        for sq in member_squares:
+            squares_in.setdefault(uf.find(sq.e1), []).append(sq)
+        for root, members in comps.items():
+            e0 = members[0]
+            back = e0.q.inverse()
+            stab = frozenset(e.q * back for e in members
+                             if e.j == e0.j and e.label == e0.label)
+            cyl = Cylinder(frozenset(simplex), frozenset(members),
+                           tuple(squares_in.get(root, ())), stab)
             _assert_heights(Y, cyl)
             out.append(cyl)
     return out
@@ -587,6 +716,10 @@ def cylinder_classes(Y, label):
     """Partition of the edges with a given base-vertex label by the
     equivalence generated by co-membership in a cylinder."""
     cyls = [c for c in cylinders(Y) if label in c.label]
+    return _cylinder_classes(Y, label, cyls)
+
+
+def _cylinder_classes(Y, label, cyls):
     edges = [e for e in Y.edges if e.label == label]
     uf = _UnionFind(edges)
     for c in cyls:
@@ -604,7 +737,7 @@ def orbit_characterization_holds(Y, label):
     must form the orbit of the subgroup generated by the stabilizers of
     the cylinders through it."""
     cyls = [c for c in cylinders(Y) if label in c.label]
-    for cls in cylinder_classes(Y, label):
+    for cls in _cylinder_classes(Y, label, cyls):
         e0 = next(iter(cls))
         through = [c for c in cyls if e0 in c.edges]
         gen = {Y.Q.identity()}

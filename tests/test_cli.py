@@ -89,6 +89,52 @@ def test_check_special_pathology_exit_1(runner):
     assert env["witnesses"]
 
 
+# The scan order of the osculation search picks these witnesses; they are
+# frozen so that no refactor of the scan can reorder them.
+PINNED_WITNESSES = {
+    "1000": [
+        "self-osculation of Hyperplane(#0, label=w, size=4): "
+        "E(j=0,w,(0,)) / E(j=0,w,(1,))",
+        "self-osculation of Hyperplane(#1, label=x, size=4): "
+        "E(j=0,x,(0,)) / E(j=0,x,(1,))",
+        "inter-osculation Hyperplane(#0, label=w, size=4) x "
+        "Hyperplane(#1, label=x, size=4): E(j=0,w,(0,)) / E(j=0,x,(0,))",
+    ],
+    "1110": [
+        "self-osculation of Hyperplane(#0, label=w, size=4): "
+        "E(j=0,w,(0,)) / E(j=0,w,(1,))",
+        "self-osculation of Hyperplane(#5, label=z, size=4): "
+        "E(j=0,z,(0,)) / E(j=0,z,(1,))",
+        "inter-osculation Hyperplane(#0, label=w, size=4) x "
+        "Hyperplane(#1, label=x, size=2): E(j=0,w,(0,)) / E(j=0,x,(0,))",
+        "inter-osculation Hyperplane(#0, label=w, size=4) x "
+        "Hyperplane(#2, label=x, size=2): E(j=0,w,(0,)) / E(j=1,x,(1,))",
+        "inter-osculation Hyperplane(#0, label=w, size=4) x "
+        "Hyperplane(#5, label=z, size=4): E(j=0,w,(0,)) / E(j=0,z,(1,))",
+        "inter-osculation Hyperplane(#1, label=x, size=2) x "
+        "Hyperplane(#3, label=y, size=2): E(j=0,x,(0,)) / E(j=0,y,(0,))",
+        "inter-osculation Hyperplane(#1, label=x, size=2) x "
+        "Hyperplane(#4, label=y, size=2): E(j=0,x,(0,)) / E(j=1,y,(0,))",
+        "inter-osculation Hyperplane(#2, label=x, size=2) x "
+        "Hyperplane(#3, label=y, size=2): E(j=0,x,(1,)) / E(j=1,y,(1,))",
+        "inter-osculation Hyperplane(#2, label=x, size=2) x "
+        "Hyperplane(#4, label=y, size=2): E(j=0,x,(1,)) / E(j=0,y,(1,))",
+        "inter-osculation Hyperplane(#3, label=y, size=2) x "
+        "Hyperplane(#5, label=z, size=4): E(j=0,y,(0,)) / E(j=0,z,(0,))",
+        "inter-osculation Hyperplane(#4, label=y, size=2) x "
+        "Hyperplane(#5, label=z, size=4): E(j=0,y,(1,)) / E(j=0,z,(1,))",
+    ],
+}
+
+
+@pytest.mark.parametrize("bits", sorted(PINNED_WITNESSES))
+def test_check_special_witnesses_pinned(runner, bits):
+    res = run(runner, "check-special", "--bits", bits, "--wrap", "2",
+              "--json")
+    assert res.exit_code == 1
+    assert envelope(res)["witnesses"] == PINNED_WITNESSES[bits]
+
+
 def test_check_special_stabilize(runner):
     res = run(runner, "check-special", "--bits", "1000", "--stabilize",
               "--json")
