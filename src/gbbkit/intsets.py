@@ -37,18 +37,12 @@ class PeriodicSet:
         if n < 1:
             raise SetError("modulus must be >= 1")
         res = frozenset(r % n for r in self.residues)
-        # reduce to the least period: the minimal period divides n
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            folded = frozenset(r % d for r in res)
-            if frozenset(r for r in range(n) if r % d in folded) == frozenset(
-                r for r in range(n) if r in res
-            ):
-                object.__setattr__(self, "modulus", d)
-                object.__setattr__(self, "residues", folded)
-                return
-        object.__setattr__(self, "residues", res)
+        # the least period is the least divisor d of n with res + d = res
+        # (mod n); translation permutes Z/n, so inclusion suffices
+        d = next(d for d in _divisors(n)
+                 if all((r + d) % n in res for r in res))
+        object.__setattr__(self, "modulus", d)
+        object.__setattr__(self, "residues", frozenset(r % d for r in res))
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -78,11 +72,6 @@ class PeriodicSet:
     def window(self, lo, hi):
         """Members in the closed interval [lo, hi]."""
         return frozenset(m for m in range(lo, hi + 1) if m in self)
-
-    def agrees_with_on(self, other_window, lo, hi):
-        return self.window(lo, hi) == frozenset(
-            m for m in other_window if lo <= m <= hi
-        )
 
     # --- algebra --------------------------------------------------------
     def _on_lcm(self, other):
@@ -120,12 +109,17 @@ class PeriodicSet:
         return f"{{{rs}}} mod {self.modulus}"
 
 
-def periodic_from_json(data):
-    return PeriodicSet(int(data["modulus"]), frozenset(int(r) for r in data["residues"]))
-
-
-def periodic_to_json(s):
-    return {"modulus": s.modulus, "residues": sorted(s.residues)}
+def _divisors(n):
+    """Divisors of n in ascending order, by trial division up to sqrt(n)."""
+    large = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            yield d
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    yield from reversed(large)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from gbbkit import dehn
 from gbbkit.cli import main
 
 
@@ -222,6 +223,23 @@ def test_dehn_with_ratio_check(runner):
 def test_dehn_parse_error(runner):
     res = run(runner, "dehn", "--word", "q1")
     assert res.exit_code == 2
+
+
+def test_dehn_generator_beyond_l(runner):
+    word = "a14 a14 " + " ".join(f"a{i} a{i}" for i in range(2, 14))
+    res = run(runner, "dehn", "--l", "13", "--word", word)
+    assert res.exit_code == 2
+    assert "letter 14 " in res.output
+
+
+def test_dehn_splice_mismatch_exit_3(runner, monkeypatch):
+    real = dehn._family_rotation
+    monkeypatch.setattr(dehn, "_family_rotation",
+                        lambda *args: tuple(reversed(real(*args))))
+    word = " ".join(f"a{i} a{i}" for i in range(1, 14))
+    res = run(runner, "dehn", "--word", word)
+    assert res.exit_code == 3
+    assert "internal invariant violated" in res.output
 
 
 # --- report ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from gbbkit import dehn
 from gbbkit.dehn import (CyclicPresentation, Word, dehn_reduce, free_reduce,
                          invert_word, is_identity, small_cancellation_check)
-from gbbkit.errors import DehnError, WindowError
+from gbbkit.errors import DehnError, InternalError, WindowError
 from gbbkit.fixtures import (dehn_presentation_godel,
                              dehn_presentation_periodic)
 from gbbkit.intsets import PeriodicSet
@@ -151,3 +152,39 @@ def test_inside_window_large_member():
     pres = dehn_presentation_godel(l=5, position_bound=4)
     assert is_identity(pres, pres.relator(101))
     assert not is_identity(pres, pres.relator(11))
+
+
+def test_exponents_are_asked_lazily():
+    # no more-than-half match in (a1^1000 a3^1000)^4, so no exponent is
+    # needed, even though 1000 is past the certified digits of T
+    pres = dehn_presentation_godel(l=13, position_bound=3)
+    word = ((1,) * 1000 + (3,) * 1000) * 4
+    assert not is_identity(pres, word)
+
+
+# --- input contract and internal checks ----------------------------------------
+
+
+def test_generator_index_beyond_l_is_rejected():
+    pres = dehn_presentation_periodic(l=13)
+    word = (14, 14) + tuple(x for i in range(2, 14) for x in (i, i))
+    with pytest.raises(DehnError, match="letter 14 "):
+        dehn_reduce(pres, word)
+    with pytest.raises(DehnError):
+        dehn_reduce(pres, (1, -14))
+    with pytest.raises(DehnError):
+        dehn_reduce(pres, (1, 0, 2))
+    assert is_identity(pres, tuple(x for i in range(1, 14) for x in (i, i)))
+
+
+def test_splice_mismatch_raises_internal_error(monkeypatch):
+    real = dehn._family_rotation
+
+    def wrong_rotation(*args):
+        rot = real(*args)
+        return (-rot[0],) + rot[1:]
+
+    monkeypatch.setattr(dehn, "_family_rotation", wrong_rotation)
+    pres = dehn_presentation_periodic(l=13)
+    with pytest.raises(InternalError, match=r"letter 1 of length 26"):
+        dehn_reduce(pres, (5,) + pres.relator(2))

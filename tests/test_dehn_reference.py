@@ -1,0 +1,324 @@
+"""Differential tests of the word layer against the code it replaced.
+
+The reference oracles kept here are the earlier implementations:
+
+* the reducer that rescanned the whole run encoding on every step, twice
+  per candidate block length n, and asked T about every candidate n;
+* the piece check that compared every pair of relator occurrences;
+* the least-period normalization that rebuilt two residue sets per
+  divisor.
+
+The new reducer must pick the same match at every step, so both the
+reduced word and the ``trace`` triples (word, i, t) are compared.  The
+pairwise piece scan is quadratic in the number of occurrences K, so the
+suite runs it on the cells of the (l, window, T) grid with K <= 300."""
+
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from gbbkit.dehn import (CyclicPresentation, SmallCancellationReport, Word,
+                         dehn_reduce, free_reduce, invert_word,
+                         small_cancellation_check)
+from gbbkit.errors import DehnError
+from gbbkit.fixtures import dehn_presentation_godel
+from gbbkit.intsets import PeriodicSet
+
+# --- the reducer that rescanned the word on every step -----------------------
+
+
+def reference_runs(word):
+    """Run-length encoding [(letter, count), ...] of a word."""
+    runs = []
+    for x in word:
+        if runs and runs[-1][0] == x:
+            runs[-1][1] += 1
+        else:
+            runs.append([x, 1])
+    return [(x, c) for x, c in runs]
+
+
+def reference_best_match_for_family(runs, l, n, s, step):
+    """Longest rotation match of the block family (block length n, letter
+    sign s, generator step +-1) against the run encoding.  Returns
+    (t, run_index, c0, start_gen) or None."""
+    L = l * n
+    best = None
+    for p, (letter, count) in enumerate(runs):
+        if (letter > 0) != (s > 0):
+            continue
+        g = abs(letter)
+        c0 = min(count, n)
+        t = c0
+        expected = (g - 1 + step) % l + 1
+        q = p + 1
+        while t < L and q < len(runs):
+            lq, cq = runs[q]
+            if (lq > 0) != (s > 0) or abs(lq) != expected:
+                break
+            t += min(cq, n)
+            if cq != n:
+                break
+            expected = (expected - 1 + step) % l + 1
+            q += 1
+        t = min(t, L)
+        if 2 * t > L and (best is None or t > best[0]):
+            best = (t, p, c0, g)
+    return best
+
+
+def reference_family_rotation(l, n, s, step, c0, g):
+    rot = [s * g] * c0
+    cur = g
+    for _ in range(l - 1):
+        cur = (cur - 1 + step) % l + 1
+        rot.extend([s * cur] * n)
+    rot.extend([s * g] * (n - c0))
+    return tuple(rot)
+
+
+def reference_candidate_magnitudes(runs, l, nmax):
+    """Block lengths n that could possibly support a more-than-half match:
+    such a match needs (l-3)//2 or more interior runs of exact size n."""
+    k_min = max(0, (l - 3) // 2)
+    hist = Counter(c for _, c in runs)
+    out = []
+    for n in range(1, nmax + 1):
+        if hist.get(n, 0) >= max(k_min, 1) or l <= 4:
+            out.append(n)
+    return out
+
+
+def reference_dehn_reduce(pres, word, trace=None):
+    if isinstance(word, Word):
+        current = word.letters
+    else:
+        current = free_reduce(tuple(word))
+    l = pres.l
+    while True:
+        current = free_reduce(current)
+        if not current:
+            return Word(())
+        runs = reference_runs(current)
+        nmax = (2 * len(current)) // l
+        best = None
+        for n in reference_candidate_magnitudes(runs, l, nmax):
+            families = []
+            if pres.contains_exponent(n):
+                families.append((1, 1))    # R_n: ascending, positive
+                families.append((-1, -1))  # inverse of R_n
+            if pres.contains_exponent(-n):
+                families.append((-1, 1))   # R_-n: ascending, negative
+                families.append((1, -1))   # inverse of R_-n
+            for s, step in families:
+                hit = reference_best_match_for_family(runs, l, n, s, step)
+                if hit and (best is None or hit[0] > best[0][0]):
+                    best = (hit, n, s, step)
+        if best is None:
+            return Word(current)
+        (t, p, c0, g), n, s, step = best
+        rot = reference_family_rotation(l, n, s, step, c0, g)
+        i = sum(c for _, c in runs[:p]) + (runs[p][1] - c0)
+        assert current[i:i + t] == rot[:t]
+        repl = invert_word(rot[t:])
+        if trace is not None:
+            trace.append((current, i, t))
+        nxt = current[:i] + repl + current[i + t:]
+        if len(nxt) >= len(current):
+            raise DehnError("internal: reduction failed to shorten")
+        current = nxt
+
+
+# --- the pairwise piece scan -------------------------------------------------
+
+
+def reference_common_prefix_len(a, b):
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def reference_small_cancellation_check(pres, m, exponent_window):
+    rels = pres.relators_in_window(exponent_window)
+    occurrences = []
+    for n, rel in rels:
+        for o, base in ((1, rel), (-1, invert_word(rel))):
+            for i in range(len(base)):
+                occurrences.append((n, i, o, base[i:] + base[:i]))
+    best_piece = {n: 0 for n, _ in rels}
+    max_piece = 0
+    for a in range(len(occurrences)):
+        na, ia, oa, wa = occurrences[a]
+        for b in range(a + 1, len(occurrences)):
+            nb, ib, ob, wb = occurrences[b]
+            if wa == wb:
+                p = len(wa)
+            else:
+                p = reference_common_prefix_len(wa, wb)
+            if p:
+                max_piece = max(max_piece, p)
+                best_piece[na] = max(best_piece[na], p)
+                best_piece[nb] = max(best_piece[nb], p)
+    ratios = {n: best_piece[n] / (abs(n) * pres.l) for n, _ in rels}
+    max_ratio = max(ratios.values())
+    return SmallCancellationReport(
+        m=m, window=exponent_window, relator_count=len(rels),
+        max_piece_length=max_piece, per_relator_ratio=ratios,
+        max_ratio=max_ratio, passes=max_ratio < 1.0 / m)
+
+
+# --- the least-period loop ---------------------------------------------------
+
+
+def reference_least_period(modulus, residues):
+    n = modulus
+    res = frozenset(r % n for r in residues)
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        folded = frozenset(r % d for r in res)
+        if frozenset(r for r in range(n) if r % d in folded) == frozenset(
+            r for r in range(n) if r in res
+        ):
+            return d, folded
+    return n, res
+
+
+# --- families ----------------------------------------------------------------
+
+EXPONENT_SETS = {
+    "2Z": PeriodicSet.multiples(2),
+    "Z": PeriodicSet.all_integers(),
+    "1+3Z": PeriodicSet(3, {1}),
+    "empty": PeriodicSet.empty(),
+}
+
+
+def reduced_words(letters, max_length):
+    """Every freely reduced word of length <= max_length.  A word that is
+    not freely reduced is reduced before the first step by both reducers,
+    so it behaves as a shorter word of this family."""
+    for length in range(max_length + 1):
+        for w in itertools.product(letters, repeat=length):
+            if all(w[k] != -w[k + 1] for k in range(length - 1)):
+                yield w
+
+
+SHORT_WORDS = list(reduced_words((1, 2, 3, -1, -2, -3), 5))
+
+
+def relator_products(rng, pres, count):
+    """Products of rotated, conjugated relators and inverse relators of
+    exponents in [-4, 4], with up to two letters inserted anywhere."""
+    l = pres.l
+    exponents = [n for n in range(-4, 5) if n]
+    out = []
+    for _ in range(count):
+        word = ()
+        for _ in range(rng.randrange(1, 6)):
+            rel = pres.relator(rng.choice(exponents))
+            if rng.random() < 0.5:
+                rel = invert_word(rel)
+            k = rng.randrange(len(rel))
+            conj = tuple(rng.choice((i, -i))
+                         for i in rng.sample(range(1, l + 1),
+                                             rng.randrange(3)))
+            at = rng.randrange(len(word) + 1)
+            word = (word[:at] + conj + rel[k:] + rel[:k] + invert_word(conj)
+                    + word[at:])
+        for _ in range(rng.randrange(3)):
+            at = rng.randrange(len(word) + 1)
+            letter = rng.choice((1, -1)) * rng.randrange(1, l + 1)
+            word = word[:at] + (letter,) + word[at:]
+        out.append(word)
+    return out
+
+
+def assert_same_reduction(pres, word):
+    expected_trace, got_trace = [], []
+    expected = reference_dehn_reduce(pres, word, expected_trace)
+    got = dehn_reduce(pres, word, got_trace)
+    assert got == expected, word
+    assert got_trace == expected_trace, word
+
+
+# --- tests -------------------------------------------------------------------
+
+
+def test_short_word_family_is_complete():
+    # 1 + 6 + 6*5 + 6*5^2 + 6*5^3 + 6*5^4 freely reduced words
+    assert len(SHORT_WORDS) == 4687
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 13])
+@pytest.mark.parametrize("kind", sorted(EXPONENT_SETS))
+def test_short_words_match_reference(l, kind):
+    pres = CyclicPresentation(l, EXPONENT_SETS[kind])
+    for word in SHORT_WORDS:
+        assert_same_reduction(pres, word)
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 7, 13])
+@pytest.mark.parametrize("kind", sorted(EXPONENT_SETS))
+def test_relator_products_match_reference(l, kind):
+    pres = CyclicPresentation(l, EXPONENT_SETS[kind])
+    rng = random.Random(f"{l}-{kind}")
+    for word in relator_products(rng, pres, 40):
+        assert_same_reduction(pres, word)
+
+
+PIECE_GRID = [
+    (l, window, kind)
+    for l in range(3, 14)
+    for window in range(1, 16)
+    for kind in ("2Z", "Z", "godel")
+]
+
+
+def piece_presentation(l, kind):
+    if kind == "godel":
+        return dehn_presentation_godel(l=l)
+    return CyclicPresentation(l, EXPONENT_SETS[kind])
+
+
+def occurrence_count(pres, window):
+    return sum(2 * len(rel) for _, rel in pres.relators_in_window(window))
+
+
+def test_piece_check_matches_pairwise_scan():
+    compared = 0
+    for l, window, kind in PIECE_GRID:
+        pres = piece_presentation(l, kind)
+        if not pres.relators_in_window(window):
+            with pytest.raises(DehnError):
+                small_cancellation_check(pres, 6, window)
+            continue
+        if occurrence_count(pres, window) > 300:
+            continue            # the pairwise scan is quadratic
+        assert small_cancellation_check(pres, 6, window) == \
+            reference_small_cancellation_check(pres, 6, window), \
+            (l, window, kind)
+        compared += 1
+    assert compared == 258
+
+
+def test_least_period_matches_reference():
+    rng = random.Random(3)
+    for _ in range(3000):
+        modulus = rng.randrange(1, 61)
+        residues = {rng.randrange(-100, 100)
+                    for _ in range(rng.randrange(modulus + 1))}
+        if rng.random() < 0.5:
+            # a union of cosets of a random subgroup: a proper period
+            d = rng.choice([d for d in range(1, modulus + 1)
+                            if modulus % d == 0])
+            residues = {r + k * d for r in residues
+                        for k in range(modulus // d)}
+        s = PeriodicSet(modulus, residues)
+        assert (s.modulus, s.residues) == \
+            reference_least_period(modulus, residues), (modulus, residues)

@@ -24,6 +24,17 @@ def test_least_period_normalization():
     assert PeriodicSet(5, set()).modulus == 1
 
 
+def test_least_period_large_modulus():
+    # 720720 has 240 divisors; each is tested in O(|R|)
+    s = PeriodicSet(720720, {0, 1})
+    assert (s.modulus, s.residues) == (720720, frozenset({0, 1}))
+    s = PeriodicSet(720720, set(range(3, 720720, 6)))
+    assert (s.modulus, s.residues) == (6, frozenset({3}))
+    cert = GodelSet(frozenset({0, 2}), 7).f_certificate(5)
+    assert cert.modulus == 10 ** 6 and cert.residues == frozenset(
+        {0, 1, 100, 101})
+
+
 def test_membership_and_window():
     s = PeriodicSet.multiples(3)
     assert 0 in s and -3 in s and 4 not in s
