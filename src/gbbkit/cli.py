@@ -8,7 +8,8 @@ the certificate modes involved, and the tool version, so results are
 reproducible from the report alone.
 
 Exit codes: 0 = clean verdict, 1 = pathology verdict (not special, torsion
-in the kernel, non-identity word, sweep mismatch), 2 = parse/input errors,
+in the kernel, non-identity word, sweep mismatch), 2 = parse/input errors
+and words that ``dehn`` cannot decide (no C'(1/6) on the window),
 3 = internal invariant violations.
 """
 
@@ -26,13 +27,13 @@ from . import __version__
 from .cubical import (build_quotient, hyperplane_counts, hyperplanes,
                       shift_stable_period, specialness, vertex_link)
 from .dehn import CyclicPresentation, Word, is_identity, small_cancellation_check
-from .errors import DehnError, GbbError, InternalError, WindowError
-from .fixtures import (FIXTURES, fixture_names, load_fixture,
-                       square_presentation, square_quotient_bits)
+from .errors import GbbError, InternalError, WindowError
+from .fixtures import (fixture_names, load_fixture, square_presentation,
+                       square_quotient_bits)
 from .groups import r_set
 from .intsets import PeriodicSet
-from .io_formats import (complex_from_json, cover_from_json, load_json,
-                         quotient_spec_from_json, set_from_json, set_to_json)
+from .io_formats import (load_json, quotient_spec_from_json, set_from_json,
+                         set_to_json)
 from .presentation import GbbPresentation
 from .quotients import kernel_torsion_free, verify_abelian_exact
 
@@ -378,7 +379,8 @@ def rset_cmd(fixture, n, k, seed, as_json):
 @click.option("--set", "set_file", default=None, type=click.Path(exists=True),
               help="exponent set JSON; default 2Z")
 @click.option("--word", required=True)
-@click.option("--check-ratio", "check_ratio", default=None, type=int,
+@click.option("--check-ratio", "check_ratio", default=None,
+              type=click.IntRange(min=1),
               help="also certify the 1/m piece condition on the window")
 @click.option("--window", default=6, type=int)
 @click.option("--json", "as_json", is_flag=True)
@@ -399,10 +401,17 @@ def dehn_cmd(l, set_file, word, check_ratio, window, as_json):
             env.verdicts["max_piece_ratio"] = rep.max_ratio
             env.verdicts[f"satisfies_C'(1/{check_ratio})"] = rep.passes
             env.certificate_modes.append("window-certified")
-        ident = is_identity(pres, w)
+        if is_identity(pres, w):
+            ident, code = True, 0
+        else:
+            # Dehn's algorithm decides the word problem only under C'(1/6),
+            # so a word left non-empty proves nothing without it
+            if check_ratio != 6:
+                rep = small_cancellation_check(pres, 6, window)
+            ident, code = (False, 1) if rep.passes else ("undecided", 2)
         env.verdicts["is_identity"] = ident
         env.emit(as_json)
-        return 0 if ident else 1
+        return code
 
     sys.exit(_guard(run))
 

@@ -247,29 +247,4 @@ def pullback(cover, f: SimplicialMap, base_vertex=None):
         else:
             lab[(a, b)] = cover.label(fa, fb)
     pulled = build_cover(L, cover.deck, lab, base_vertex, allow_disconnected=True)
-
-    # components of the pulled-back total space
-    verts = set(pulled.total.vertices)
-    adj = {v: set() for v in verts}
-    for e in pulled.total.edges():
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    components = []
-    remaining = set(verts)
-    ordered = [v for v in pulled.total.vertices]
-    while remaining:
-        seed = next(v for v in ordered if v in remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        components.append(frozenset(comp))
-        remaining -= comp
-    return PullbackResult(pulled, components, pulled.monodromy)
+    return PullbackResult(pulled, pulled.total.components(), pulled.monodromy)

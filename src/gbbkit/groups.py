@@ -400,10 +400,6 @@ def subgroup_closure(generators, identity=None, bound=10 ** 6):
     return Subgroup(ident.parent_key(), gens, frozenset(elements))
 
 
-def exponent(subgroup):
-    return subgroup.exponent()
-
-
 # ---------------------------------------------------------------------------
 # symmetric-group helpers
 
@@ -510,13 +506,14 @@ class PermutationGroup:
         self.identity = Permutation.identity(degree)
         sub = subgroup_closure(self.generators, identity=self.identity)
         self.elements = tuple(sorted(sub.elements))
+        self._element_set = sub.elements
 
     @property
     def order(self):
         return len(self.elements)
 
     def __contains__(self, g):
-        return g in set(self.elements)
+        return g in self._element_set
 
     def __iter__(self):
         return iter(self.elements)

@@ -1,46 +1,12 @@
-"""JSON file formats for complexes, covers, integer sets, and quotient
-specifications."""
+"""JSON file formats for integer sets and quotient specifications."""
 
 from __future__ import annotations
 
 import json
 
-from .covers import build_cover
 from .errors import GbbError
-from .groups import AbelianGroup, Permutation, PermutationGroup
+from .groups import AbelianGroup
 from .intsets import GodelSet, PeriodicSet
-from .simplicial import SimplicialComplex, build_complex
-
-
-def complex_to_json(cx):
-    return {
-        "vertices": [str(v) for v in cx.vertices],
-        "maximal_simplices": [
-            sorted(str(v) for v in s) for s in cx.maximal_simplices
-        ],
-    }
-
-
-def complex_from_json(data):
-    return build_complex(data["vertices"], [set(s) for s in data["maximal_simplices"]])
-
-
-def map_from_json(data):
-    return dict(data["vertex_map"])
-
-
-def cover_from_json(data, base=None):
-    if base is None:
-        base = complex_from_json(data["base"])
-    deck = PermutationGroup(
-        int(data["deck"]["degree"]),
-        [Permutation(tuple(p)) for p in data["deck"]["generators"]],
-    )
-    labels = {}
-    for item in data.get("labels", []):
-        u, v = item["edge"]
-        labels[(u, v)] = Permutation(tuple(item["perm"]))
-    return build_cover(base, deck, labels, data["base_vertex"])
 
 
 def set_from_json(data):

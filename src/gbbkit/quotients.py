@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .covers import build_cover, lifts_to_loop
-from .errors import GroupError, QuotientError
+from .errors import QuotientError
 from .groups import (AbelianGroup, Permutation, PermutationGroup,
                      TupleElement, WreathElement, build_pqrs, ore_commutator,
                      power_product, r_set, subgroup_closure)
@@ -82,7 +82,8 @@ class FiniteQuotient:
 
 
 def _complete_theta(pres, theta):
-    """Fill in reverses (as inverses) and check reversal compatibility."""
+    """Fill in reverses (as inverses), check reversal compatibility and
+    reject keys that are not directed edges of L."""
     full = {}
     for e in pres.L.edges():
         a, b = tuple(e)
@@ -97,6 +98,9 @@ def _complete_theta(pres, theta):
             raise QuotientError(f"theta not reversal-compatible on ({a},{b})")
         full[(a, b)] = ta
         full[(b, a)] = tb
+    for key in theta:
+        if key not in full:
+            raise QuotientError(f"theta on non-edge {key}")
     return full
 
 

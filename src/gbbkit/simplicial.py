@@ -19,6 +19,13 @@ class SimplicialComplex:
 
     Immutable by convention after construction.  ``vertices`` fixes the
     vertex order; simplices are frozensets of vertices.
+
+    Every query is answered from one vertex-adjacency index built at
+    construction.  A simplex s is maximal iff no common neighbour w of its
+    vertices makes s + {w} a simplex, and the complex is flag iff every
+    such w does: by induction on size, every clique is then a simplex
+    (the vertices are, and a clique K + {w} extends the simplex K).  One
+    pass over the simplices and their common neighbours decides both.
     """
 
     def __init__(self, vertices, maximal_simplices):
@@ -37,25 +44,40 @@ class SimplicialComplex:
                 raise ComplexError(f"simplex {sorted(s)} not a subset of the vertices")
             maxs.append(fs)
         self.vertices = vertices
-        self._index = {v: i for i, v in enumerate(vertices)}
+        self._index = index = {v: i for i, v in enumerate(vertices)}
         # close downward; include isolated vertices as 0-simplices
-        simplices = set()
+        simplices = {frozenset({v}) for v in vertices}
         for fs in maxs:
-            for k in range(1, len(fs) + 1):
-                for face in itertools.combinations(sorted(fs, key=self._index.get), k):
-                    simplices.add(frozenset(face))
-        for v in vertices:
-            simplices.add(frozenset({v}))
+            for k in range(2, len(fs) + 1):
+                simplices.update(map(frozenset, itertools.combinations(fs, k)))
         self.simplices = frozenset(simplices)
+
+        adj = {v: set() for v in vertices}
+        for s in simplices:
+            if len(s) == 2:
+                a, b = s
+                adj[a].add(b)
+                adj[b].add(a)
+        self._neighbors = {v: sorted(adj[v], key=index.__getitem__) for v in vertices}
+        self._edge_pairs = [(a, b) for a in vertices for b in self._neighbors[a]
+                            if index[b] > index[a]]
+        self._edges = [frozenset(p) for p in self._edge_pairs]
+
+        maximal = []
+        flag = True
+        for s in simplices:
+            common = set.intersection(*(adj[v] for v in s))
+            extends = [s | {w} in simplices for w in common]
+            if not any(extends):
+                maximal.append(s)
+            flag = flag and all(extends)
         self.maximal_simplices = tuple(
-            sorted(
-                (s for s in simplices if not any(s < t for t in simplices)),
-                key=lambda s: sorted(self._index[v] for v in s),
-            )
+            sorted(maximal, key=lambda s: sorted(index[v] for v in s))
         )
-        self.dimension = max(len(s) for s in simplices) - 1
-        self.is_flag = self._compute_flag()
-        self.is_connected = self._compute_connected()
+        self.dimension = max(len(s) for s in maximal) - 1
+        self.is_flag = flag
+        self._components = self._compute_components()
+        self.is_connected = len(self._components) == 1
 
     # --- basic queries -------------------------------------------------
     def vertex_position(self, v):
@@ -68,57 +90,48 @@ class SimplicialComplex:
         return frozenset(s) in self.simplices
 
     def edges(self):
-        return sorted(
-            (s for s in self.simplices if len(s) == 2),
-            key=lambda s: sorted(self._index[v] for v in s),
-        )
+        """The edges as frozensets, ordered by their vertex positions."""
+        return list(self._edges)
 
     def directed_edges(self):
         out = []
-        for e in self.edges():
-            a, b = sorted(e, key=self._index.get)
+        for a, b in self._edge_pairs:
             out.append((a, b))
             out.append((b, a))
         return out
 
     def neighbors(self, v):
-        return sorted(
-            {w for s in self.simplices if len(s) == 2 and v in s for w in s if w != v},
-            key=self._index.get,
-        )
+        """The vertices adjacent to v, in vertex order."""
+        return list(self._neighbors[v])
 
     def star_maximal(self, v):
         """Maximal simplices containing v (their faces form the closed star)."""
         return [s for s in self.maximal_simplices if v in s]
 
-    # --- computed flags --------------------------------------------------
-    def _compute_flag(self):
-        # flag iff every maximal clique of the 1-skeleton spans a simplex
-        # (then every sub-clique spans a face)
-        import networkx as nx
+    def components(self):
+        """The vertex sets of the connected components, ordered by their
+        first vertex."""
+        return list(self._components)
 
-        g = nx.Graph()
-        g.add_nodes_from(range(len(self.vertices)))
-        for e in self.edges():
-            a, b = tuple(e)
-            g.add_edge(self._index[a], self._index[b])
-        for clique in nx.find_cliques(g):
-            if frozenset(self.vertices[i] for i in clique) not in self.simplices:
-                return False
-        return True
-
-    def _compute_connected(self):
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return len(seen) == len(self.vertices)
+    def _compute_components(self):
+        seen = set()
+        components = []
+        for seed in self.vertices:
+            if seed in seen:
+                continue
+            comp = {seed}
+            frontier = [seed]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for w in self._neighbors[v]:
+                        if w not in comp:
+                            comp.add(w)
+                            nxt.append(w)
+                frontier = nxt
+            seen |= comp
+            components.append(frozenset(comp))
+        return tuple(components)
 
     def __repr__(self):
         return (

@@ -1,10 +1,14 @@
 """Command-line surface: verbs, exit codes, JSON report envelopes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gbbkit
 from gbbkit import dehn
 from gbbkit.cli import main
 
@@ -163,6 +167,20 @@ def test_verify_quotient_torsion(runner):
     assert env["verdicts"]["kernel_torsion_free"] is False
 
 
+def test_verify_quotient_theta_on_non_edge(runner, tmp_path):
+    spec = {"target": {"kind": "abelian", "factors": [2]},
+            "theta": {"w,x": [1], "x,y": [0], "y,z": [0], "z,w": [0],
+                      "w,y": [0]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = run(runner, "verify-quotient", "--quotient", str(path))
+    assert res.exit_code == 2
+    assert "non-edge ('w', 'y')" in res.output
+    del spec["theta"]["w,y"]
+    path.write_text(json.dumps(spec))
+    assert run(runner, "verify-quotient", "--quotient", str(path)).exit_code == 0
+
+
 # --- recipes -------------------------------------------------------------------------
 
 
@@ -220,6 +238,31 @@ def test_dehn_with_ratio_check(runner):
     assert "window-certified" in env["certificate_modes"]
 
 
+def test_dehn_without_small_cancellation_is_undecided(runner):
+    # l = 7 has pieces a_i^2 a_{i+1}^2 of ratio 2/7 > 1/6 between R_2 and R_4
+    for extra in ([], ["--check-ratio", "6"]):
+        res = run(runner, "dehn", "--l", "7", "--word", "a1 a2", *extra,
+                  "--json")
+        assert res.exit_code == 2
+        assert envelope(res)["verdicts"]["is_identity"] == "undecided"
+    res = run(runner, "dehn", "--l", "7", "--word", "a1 a2",
+              "--check-ratio", "6")
+    assert "satisfies_C'(1/6): False" in res.output
+    assert "is_identity: undecided" in res.output
+    # reduction to the empty word proves identity under any presentation
+    word = " ".join(f"a{i} a{i}" for i in range(1, 8))
+    res = run(runner, "dehn", "--l", "7", "--word", word, "--json")
+    assert res.exit_code == 0
+    assert envelope(res)["verdicts"]["is_identity"] is True
+
+
+@pytest.mark.parametrize("ratio", ["0", "-3"])
+def test_dehn_check_ratio_must_be_positive(runner, ratio):
+    res = run(runner, "dehn", "--word", "a1 a2", "--check-ratio", ratio)
+    assert res.exit_code == 2
+    assert "satisfies" not in res.output
+
+
 def test_dehn_parse_error(runner):
     res = run(runner, "dehn", "--word", "q1")
     assert res.exit_code == 2
@@ -261,3 +304,33 @@ def test_digest_is_stable(runner):
     assert a["inputs_digest"] == b["inputs_digest"]
     c = envelope(run(runner, "verify-quotient", "--bits", "0010", "--json"))
     assert c["inputs_digest"] != a["inputs_digest"]
+
+
+# --- runtime dependencies -------------------------------------------------------------
+
+
+def test_runtime_does_not_import_networkx():
+    """networkx is a test-only dependency: building a cover, a quotient
+    and a wrapped complex and running ``gbb report`` and ``gbb
+    check-special`` must not import it."""
+    src = str(Path(gbbkit.__file__).resolve().parents[1])
+    script = f"""
+import sys
+sys.path.insert(0, {src!r})
+from click.testing import CliRunner
+from gbbkit.cli import main
+from gbbkit.cubical import build_quotient
+from gbbkit.fixtures import square_cover, square_quotient_bits
+
+L, cover = square_cover()
+q = square_quotient_bits((1, 0, 0, 0))
+build_quotient(q.presentation, q, 2, validate_links=True)
+for args in (["report"], ["check-special", "--bits", "1000"]):
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.exit_code in (0, 1), res.output
+print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["[]"]

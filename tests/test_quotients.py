@@ -68,6 +68,17 @@ def test_theta_reversal_completion():
         assert q.theta[(a, b)] == q.theta[(b, a)].inverse()
 
 
+def test_theta_on_a_non_edge_is_rejected():
+    pres = square_presentation()
+    t2 = AbelianGroup((2,))
+    theta = bits_theta((1, 0, 0, 0), t2)
+    theta[("w", "y")] = t2.element((0,))
+    with pytest.raises(QuotientError, match="non-edge"):
+        verify_abelian_exact(pres, t2, theta)
+    with pytest.raises(QuotientError, match="non-edge"):
+        verify_bounded(pres, theta)
+
+
 # --- stabilizer images and torsion ------------------------------------------
 
 
