@@ -8,9 +8,10 @@ the certificate modes involved, and the tool version, so results are
 reproducible from the report alone.
 
 Exit codes: 0 = clean verdict, 1 = pathology verdict (not special, torsion
-in the kernel, non-identity word, sweep mismatch), 2 = parse/input errors
-and words that ``dehn`` cannot decide (no C'(1/6) on the window),
-3 = internal invariant violations.
+in the kernel, non-identity word, sweep mismatch), 2 = input errors (a
+``GbbError`` or an unreadable file) and words that ``dehn`` cannot decide
+(no C'(1/6) on the window), 3 = internal invariant violations and any
+other exception.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import __version__
 from .cubical import (build_quotient, hyperplane_counts, hyperplanes,
                       shift_stable_period, specialness, vertex_link)
 from .dehn import CyclicPresentation, Word, is_identity, small_cancellation_check
-from .errors import GbbError, InternalError, WindowError
+from .errors import GbbError, InternalError
 from .fixtures import (fixture_names, load_fixture, square_presentation,
                        square_quotient_bits)
 from .groups import r_set
@@ -87,16 +88,18 @@ def _fail(code, message):
 
 
 def _guard(fn):
-    """Run fn(); map error classes onto the exit-code contract."""
+    """Run fn(); map error classes onto the exit-code contract: input
+    errors exit 2, anything else is a bug and exits 3."""
     try:
         return fn()
     except InternalError as err:
-        click.echo(f"internal invariant violated: {err}", err=True)
-        sys.exit(3)
-    except WindowError as err:
+        _fail(3, f"internal invariant violated: {err}")
+    except (GbbError, OSError) as err:
         _fail(2, str(err))
-    except (GbbError, KeyError, ValueError, OSError, json.JSONDecodeError) as err:
-        _fail(2, str(err))
+    except Exception as err:
+        import traceback  # imported only to report a bug: keeps start-up lean
+        click.echo(traceback.format_exc(), err=True)
+        _fail(3, f"internal error: {type(err).__name__}: {err}")
 
 
 def _resolve_quotient(fixture, bits, quotient_file):
@@ -125,8 +128,7 @@ def _resolve_quotient(fixture, bits, quotient_file):
 
 
 def _default_wrap(pres, quotient):
-    exp = quotient.target_exponent()
-    return lcm(pres.S.modulus, exp if exp else 1)
+    return lcm(pres.S.modulus, quotient.target_exponent())
 
 
 def _cell_dump(Y):

@@ -128,9 +128,9 @@ class QuotientCubeComplex:
         self.Q = quotient.target
         S = pres.S
         base_period = lcm(S.modulus, self.Q.exponent if self.Q.factors else 1)
-        if self.N % base_period:
+        if self.N < 1 or self.N % base_period:
             raise CubicalError(
-                f"wrap N={self.N} must be a multiple of "
+                f"wrap N={self.N} must be a positive multiple of "
                 f"lcm(period(S), exponent(Q)) = {base_period}"
             )
         N = self.N
@@ -791,16 +791,17 @@ def vertical_shift_permutation(Y, planes, step=None):
     return perm
 
 
-def shift_stable_period(pres, quotient, N0, cap=4, validate_links=False):
+def shift_stable_period(pres, quotient, N0):
     """Build the wrapped complex at N0, 2*N0, 4*N0, ... until the
     specialness pattern (per-label hyperplane counts, self-osculating
     labels, inter-osculating label pairs) stabilizes between consecutive
-    wraps; report the stable wrap, the vertical-shift permutation of
-    hyperplanes there, and whether the shift preserves each hyperplane."""
+    wraps, building at most four complexes (links are not revalidated);
+    report the stable wrap, the vertical-shift permutation of hyperplanes
+    there, and whether the shift preserves each hyperplane."""
     prev = None
     N = N0
-    for _ in range(cap):
-        Y = build_quotient(pres, quotient, N, validate_links=validate_links)
+    for _ in range(4):
+        Y = build_quotient(pres, quotient, N, validate_links=False)
         rep = specialness(Y)
         pat = rep.pattern()
         if prev is not None and pat == prev[1]:
@@ -817,4 +818,4 @@ def shift_stable_period(pres, quotient, N0, cap=4, validate_links=False):
             )
         prev = (Y, pat, rep)
         N *= 2
-    raise CubicalError(f"pattern did not stabilize within {cap} doublings from {N0}")
+    raise CubicalError(f"pattern did not stabilize within 4 doublings from {N0}")

@@ -59,7 +59,7 @@ class Word:
                     neg = not neg
                 else:
                     raise DehnError(f"unsupported exponent in {tok!r}")
-            if not tok.startswith("a"):
+            if not (tok.startswith("a") and tok[1:].isdecimal()):
                 raise DehnError(f"cannot parse generator {tok!r}")
             i = int(tok[1:])
             letters.append(-i if neg else i)

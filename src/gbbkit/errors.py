@@ -5,6 +5,10 @@ class GbbError(Exception):
     """Base class for all errors raised by gbbkit on bad input."""
 
 
+class InputError(GbbError):
+    """A file, fixture name or argument that cannot be parsed."""
+
+
 class ComplexError(GbbError):
     pass
 

@@ -10,6 +10,7 @@ torsion criteria and the cube-complex checker end to end.
 from __future__ import annotations
 
 from .covers import build_cover
+from .errors import InputError
 from .groups import AbelianGroup, Permutation, PermutationGroup
 from .intsets import GodelSet, PeriodicSet
 from .presentation import GbbPresentation
@@ -188,5 +189,5 @@ def fixture_names():
 
 def load_fixture(name, **kwargs):
     if name not in FIXTURES:
-        raise KeyError(f"unknown fixture {name!r}; try: {', '.join(fixture_names())}")
+        raise InputError(f"unknown fixture {name!r}; try: {', '.join(fixture_names())}")
     return FIXTURES[name](**kwargs)

@@ -1,20 +1,31 @@
-"""JSON file formats for integer sets and quotient specifications."""
+"""JSON file formats for integer sets and quotient specifications.
+
+Malformed data raises ``InputError``; well-formed data with values the
+constructors reject raises their own ``GbbError`` subclasses."""
 
 from __future__ import annotations
 
 import json
 
-from .errors import GbbError
+from .errors import InputError
 from .groups import AbelianGroup
 from .intsets import GodelSet, PeriodicSet
 
+# what indexing, iterating or int() raise on data of the wrong shape
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
 
 def set_from_json(data):
-    if data.get("kind") == "godel":
-        positions = frozenset(int(x) for x in data["S"])
-        bound = int(data.get("position_bound", max(positions, default=0) + 1))
-        return GodelSet(positions, bound)
-    return PeriodicSet(int(data["modulus"]), frozenset(int(r) for r in data["residues"]))
+    try:
+        if data.get("kind") == "godel":
+            positions = frozenset(int(x) for x in data["S"])
+            bound = int(data.get("position_bound", max(positions, default=0) + 1))
+            return GodelSet(positions, bound)
+        modulus = int(data["modulus"])
+        residues = frozenset(int(r) for r in data["residues"])
+    except _MALFORMED as err:
+        raise InputError(f"malformed set JSON: {err!r}") from None
+    return PeriodicSet(modulus, residues)
 
 
 def set_to_json(s):
@@ -30,17 +41,29 @@ def set_to_json(s):
 def quotient_spec_from_json(data):
     """Parse {"target": {...}, "theta": {...}, "mode": ...}; theta keys are
     "u,v" strings, values are coordinate lists for abelian targets."""
-    target_data = data["target"]
-    if target_data["kind"] != "abelian":
-        raise GbbError("only abelian quotient specs are file-loadable")
-    target = AbelianGroup(tuple(int(f) for f in target_data["factors"]))
-    theta = {}
-    for key, coords in data["theta"].items():
-        u, v = key.split(",")
-        theta[(u, v)] = target.element([int(c) for c in coords])
-    return target, theta, data.get("mode", "abelian-exact")
+    try:
+        target_data = data["target"]
+        kind = target_data["kind"]
+        factors = tuple(int(f) for f in target_data["factors"])
+        coords = {tuple(key.split(",")): [int(c) for c in value]
+                  for key, value in data["theta"].items()}
+        mode = data.get("mode", "abelian-exact")
+    except _MALFORMED as err:
+        raise InputError(f"malformed quotient JSON: {err!r}") from None
+    if kind != "abelian":
+        raise InputError("only abelian quotient specs are file-loadable")
+    if any(f < 1 for f in factors):
+        raise InputError(f"abelian factors must be >= 1, got {factors}")
+    if any(len(key) != 2 for key in coords):
+        raise InputError("theta keys must be \"u,v\" vertex pairs")
+    target = AbelianGroup(factors)
+    theta = {key: target.element(c) for key, c in coords.items()}
+    return target, theta, mode
 
 
 def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as err:  # not UTF-8 or not JSON
+        raise InputError(f"{path} is not a JSON file: {err}") from None

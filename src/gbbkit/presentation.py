@@ -70,28 +70,31 @@ class GbbPresentation:
         )
 
 
-def _canonical_rotation(loop):
-    rots = [loop[i:] + loop[:i] for i in range(len(loop))]
-    # vertex names may mix types (strings, tuples), so compare via repr
-    return min(rots, key=repr)
+def _canonical_rotation(loop, rank):
+    """The rotation with the least rank tuple; no edge repr is a proper
+    prefix of another, so it is the rotation with the least repr."""
+    keys = [rank[e] for e in loop]
+    i = min(range(len(loop)), key=lambda i: keys[i:] + keys[:i])
+    return loop[i:] + loop[:i]
 
 
-def loops_upto(L, max_len, reduced=False, base_vertices=None):
+def loops_upto(L, max_len, reduced=False):
     """Closed directed edge paths of length <= max_len, deduplicated under
-    cyclic rotation.  With ``reduced`` set, only cyclically reduced loops
-    (no backtracking, including across the wrap) are produced; power
-    products over a loop are invariant under inserting backtracks, so the
-    reduced family decides any property of that kind."""
-    verts = base_vertices if base_vertices is not None else L.vertices
+    cyclic rotation, sorted by repr.  With ``reduced`` set, only cyclically
+    reduced loops (no backtracking, including across the wrap) are
+    produced; power products over a loop are invariant under inserting
+    backtracks, so the reduced family decides any property of that kind."""
     out = set()
     nbrs = {v: L.neighbors(v) for v in L.vertices}
+    # vertex names may mix types (strings, tuples), so rank edges by repr
+    rank = {e: i for i, e in enumerate(sorted(L.directed_edges(), key=repr))}
 
     def extend(path, start, current):
         if path and current == start:
             loop = tuple(path)
             if not (reduced and len(loop) > 1
                     and loop[-1] == (loop[0][1], loop[0][0])):
-                out.add(_canonical_rotation(loop))
+                out.add(_canonical_rotation(loop, rank))
             # a closed prefix can still be extended into a longer loop
         if len(path) == max_len:
             return
@@ -102,7 +105,7 @@ def loops_upto(L, max_len, reduced=False, base_vertices=None):
             extend(path, start, w)
             path.pop()
 
-    for v in verts:
+    for v in L.vertices:
         extend([], v, v)
     return sorted(out, key=repr)
 

@@ -17,9 +17,9 @@ from math import lcm
 
 from .covers import build_cover, lifts_to_loop
 from .errors import QuotientError
-from .groups import (AbelianGroup, Permutation, PermutationGroup,
+from .groups import (AbelianGroup, Permutation, PermutationGroup, Subgroup,
                      TupleElement, WreathElement, build_pqrs, ore_commutator,
-                     power_product, r_set, subgroup_closure)
+                     power_product, r_set)
 from .intsets import PeriodicSet, gcd_of_set
 from .presentation import GbbPresentation, loops_upto
 from .simplicial import star_union, subdivide_graph_edges
@@ -62,20 +62,11 @@ class FiniteQuotient:
     def __call__(self, edge):
         return self.theta[edge]
 
-    def value_of_word(self, word):
-        out = None
-        for e in word:
-            v = self.theta[e]
-            out = v if out is None else out * v
-        if out is None:
-            raise QuotientError("empty word has no defined parent")
-        return out
-
     def target_exponent(self):
-        """Exponent of the subgroup of the target generated by the theta
-        images."""
-        sub = subgroup_closure(list(self.theta.values()))
-        return sub.exponent()
+        """lcm of the orders of the theta images: every power product over
+        theta is periodic in the exponent with this period.  For an abelian
+        target it is the exponent of the subgroup the images generate."""
+        return lcm(1, *(g.order() for g in self.theta.values()))
 
     def __repr__(self):
         return f"FiniteQuotient(mode={self.mode}, target={self.target})"
@@ -222,15 +213,13 @@ def _word_value(full_theta, word, target=None):
     return out
 
 
-def verify_bounded(pres, theta, loop_length_bound=12, exponent_window=None):
+def verify_bounded(pres, theta, loop_length_bound=12):
     """Window-bounded relator verification for arbitrary targets: every
-    relator over cyclically reduced loops up to the length bound and
-    exponents in the window must die.  (Backtracks telescope inside power
-    products, so reduced loops decide the full family at each length.)"""
+    relator over cyclically reduced loops up to the length bound, at every
+    exponent of one period of S and of the theta images, must die.  (Reduced
+    loops decide: backtracks telescope inside power products.)"""
     full = _complete_theta(pres, theta)
-    sub = subgroup_closure(list(full.values()))
-    if exponent_window is None:
-        exponent_window = lcm(pres.S.modulus, sub.exponent())
+    exponent_window = lcm(pres.S.modulus, *(g.order() for g in full.values()))
     cert = BoundedCertificate(
         mode="bounded",
         loop_length_bound=loop_length_bound,
@@ -259,11 +248,11 @@ def verify_bounded(pres, theta, loop_length_bound=12, exponent_window=None):
 def stabilizer_image(quotient, j):
     """The map rho_j: deck -> target sending g to the power product of
     theta over the loop word realizing g, at exponent j; checked to be a
-    homomorphism on all pairs.  Returns (rho_j as a dict, image subgroup).
-    For residues j in the exponent set, rho_j is trivial by construction
-    of the certificates."""
-    pres = quotient.presentation
-    cover = pres.cover
+    homomorphism on the deck generators (rho(g s) = rho(g) rho(s) for all g
+    and generators s suffices, as rho(1) = 1).  Returns (rho_j as a dict,
+    its image as the subgroup of its values).  For residues j in the
+    exponent set, rho_j is trivial by construction of the certificates."""
+    cover = quotient.presentation.cover
     rho = {}
     for g, word in cover.loop_words.items():
         if not word:
@@ -271,14 +260,14 @@ def stabilizer_image(quotient, j):
         else:
             rho[g] = power_product([quotient.theta[e] for e in word], j)
     for g in rho:
-        for h in rho:
-            if rho[g] * rho[h] != rho[g * h]:
+        for s in cover.deck.generators:
+            if rho[g] * rho[s] != rho[g * s]:
                 raise QuotientError(
-                    f"rho_{j} is not a homomorphism at ({g},{h}): "
+                    f"rho_{j} is not a homomorphism at ({g},{s}): "
                     "theta is not a verified quotient"
                 )
-    image = subgroup_closure(list(rho.values()))
-    return rho, image
+    values = tuple(rho.values())
+    return rho, Subgroup(values[0].parent_key(), values, frozenset(values))
 
 
 def _identity_of(quotient):
@@ -288,9 +277,10 @@ def _identity_of(quotient):
 
 def kernel_torsion_free(quotient):
     """True iff every torsion catalog element dies nowhere in the kernel:
-    for each residue j outside the exponent set (mod lcm(period, target
-    exponent)) the map rho_j must be injective on the deck group.  Returns
-    (bool, witness) with witness = (j, g) on failure."""
+    for each residue j outside the exponent set, modulo lcm(period of S,
+    orders of the theta images), a period of every power product, the map
+    rho_j must be injective on the deck group.  Returns (bool, witness)
+    with witness = (j, g), j least, on failure."""
     pres = quotient.presentation
     m = lcm(pres.S.modulus, quotient.target_exponent())
     ident = _identity_of(quotient)
@@ -308,11 +298,11 @@ def loop_r_set(quotient, loop):
     """Exponent set of the theta images along a loop.  For a quotient with
     torsion-free kernel and a non-lifting loop this must equal the
     presentation's exponent set; a mismatch is raised as it flags torsion
-    in the kernel."""
+    in the kernel.  The kernel is scanned only on such a mismatch."""
     pres = quotient.presentation
     rs = r_set([quotient.theta[e] for e in loop])
-    tf, _ = kernel_torsion_free(quotient)
-    if tf and not lifts_to_loop(pres.cover, loop) and rs != pres.S:
+    if (rs != pres.S and not lifts_to_loop(pres.cover, loop)
+            and kernel_torsion_free(quotient)[0]):
         raise QuotientError(
             f"exponent set of a non-lifting loop is {rs.describe()} "
             f"but S = {pres.S.describe()}: kernel has torsion"

@@ -283,18 +283,24 @@ def is_suitable(record):
 
     Only the record's stored (least-vertex) approximation is tested; the
     verdict is relative to that canonical choice.  Returns (bool, witness)
-    where the witness on failure is (u, v, image-vertex-set)."""
+    where the witness on failure is (u, v, image-vertex-set).  The closed
+    stars and, in the original, the maximal simplices at each vertex are
+    indexed once, so the check is linear in the size of the complexes."""
     sub = record.subdivided
-    orig = record.original
     f = record.approximation
+    star = {v: set() for v in sub.vertices}
+    for s in sub.maximal_simplices:
+        for v in s:
+            star[v] |= s
+    maximal_at = {v: [] for v in record.original.vertices}
+    for m in record.original.maximal_simplices:
+        for v in m:
+            maximal_at[v].append(m)
     for e in sub.edges():
         u, v = tuple(e)
-        verts = set()
-        for s in sub.maximal_simplices:
-            if u in s or v in s:
-                verts |= s
-        img = frozenset(f(w) for w in verts)
-        if not any(img <= m for m in orig.maximal_simplices):
+        img = frozenset(f(w) for w in star[u] | star[v])
+        # a simplex containing img contains f(u)
+        if not any(img <= m for m in maximal_at[f(u)]):
             return False, (u, v, img)
     return True, None
 

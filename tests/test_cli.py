@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gbbkit
-from gbbkit import dehn
+from gbbkit import cubical, dehn
 from gbbkit.cli import main
 
 
@@ -304,6 +306,102 @@ def test_digest_is_stable(runner):
     assert a["inputs_digest"] == b["inputs_digest"]
     c = envelope(run(runner, "verify-quotient", "--bits", "0010", "--json"))
     assert c["inputs_digest"] != a["inputs_digest"]
+
+
+# --- exit-code contract ----------------------------------------------------------------
+
+
+def test_wrap_must_be_positive(runner):
+    for wrap in ("-2", "-4"):
+        res = run(runner, "build-complex", "--bits", "1000", "--wrap", wrap)
+        assert res.exit_code == 2
+        assert "positive multiple" in res.output
+
+
+def test_internal_key_error_exits_3(runner, monkeypatch):
+    """A KeyError raised inside the library is a bug, not an input error."""
+    def lost(Y):
+        raise KeyError("lost hyperplane")
+
+    monkeypatch.setattr(cubical, "hyperplanes", lost)
+    res = run(runner, "check-special", "--bits", "1000")
+    assert res.exit_code == 3
+    assert "internal error: KeyError" in res.output
+
+
+def test_unknown_fixture_exits_2(runner):
+    res = run(runner, "recipe", "--kind", "cocycle", "--fixture", "nope")
+    assert res.exit_code == 2
+    assert "unknown fixture 'nope'" in res.output
+
+
+SMALL = st.integers(-3, 12)
+JSON = st.recursive(
+    st.none() | st.booleans() | SMALL | st.floats(-20, 20)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+SET_JSON = JSON | st.fixed_dictionaries(
+    {"modulus": SMALL | JSON, "residues": st.lists(SMALL, max_size=4) | JSON}
+) | st.fixed_dictionaries(
+    {"kind": st.just("godel"), "S": st.lists(st.integers(-1, 6), max_size=3)},
+    optional={"position_bound": st.integers(-2, 7) | JSON},
+)
+EDGE_KEYS = st.sampled_from(["w,x", "x,y", "y,z", "z,w", "x,w", "w,z", "w,y",
+                             "q,w", "w", "w,x,y", ""])
+QUOTIENT_JSON = JSON | st.fixed_dictionaries({
+    "target": st.fixed_dictionaries({
+        "kind": st.sampled_from(["abelian", "perm"]) | JSON,
+        "factors": st.lists(st.integers(-1, 4), max_size=3) | JSON,
+    }),
+    "theta": st.dictionaries(EDGE_KEYS, st.lists(st.integers(-3, 5),
+                                                 max_size=3) | JSON,
+                             max_size=6),
+}) | st.fixed_dictionaries({
+    "target": st.just({"kind": "abelian", "factors": [2]}),
+    "theta": st.fixed_dictionaries(
+        {key: st.lists(st.integers(0, 1), min_size=1, max_size=1)
+         for key in ("w,x", "x,y", "y,z", "z,w")}),
+})
+FILE_BYTES = st.binary(max_size=16) | st.builds(
+    lambda data: json.dumps(data).encode(), SET_JSON | QUOTIENT_JSON)
+WORDS = st.text(alphabet="a12-^ b0", max_size=12) | st.lists(
+    st.sampled_from(["a1", "a2", "-a3", "a13", "a14", "a0", "a1^-1",
+                     "a1^2", "b1", "a", "-", "^", "a-3", "a+1", "a\u0663"]),
+    max_size=8).map(" ".join)
+
+
+def assert_clean_exit(res):
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.one_of(SET_JSON.map(lambda d: json.dumps(d).encode()),
+                      FILE_BYTES),
+       word=WORDS, l=st.integers(0, 14))
+def test_fuzz_set_files_and_words(tmp_path_factory, data, word, l):
+    path = tmp_path_factory.getbasetemp() / "fuzz-set.json"
+    path.write_bytes(data)
+    res = CliRunner().invoke(main, ["dehn", "--set", str(path), "--word",
+                                    word, "--l", str(l)])
+    assert_clean_exit(res)
+    res = CliRunner().invoke(main, ["dehn", "--word", word, "--json"])
+    assert_clean_exit(res)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.one_of(QUOTIENT_JSON.map(lambda d: json.dumps(d).encode()),
+                      FILE_BYTES))
+def test_fuzz_quotient_files(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-quotient.json"
+    path.write_bytes(data)
+    res = CliRunner().invoke(main, ["verify-quotient", "--quotient",
+                                    str(path), "--json"])
+    assert_clean_exit(res)
 
 
 # --- runtime dependencies -------------------------------------------------------------

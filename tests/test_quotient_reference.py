@@ -1,0 +1,290 @@
+"""Differential tests of the quotient and presentation layers against the
+code they replaced.
+
+The oracles kept here materialize groups.  The torsion modulus is
+lcm(period of S, exponent of the subgroup closure of the theta images);
+rho_j is checked to be a homomorphism on every pair of deck elements and
+its image is the closure of its values; loops are canonicalized by the
+rotation with the least repr.  The library now reads the period off the
+orders of the theta images, checks rho_j on the deck generators only,
+takes the image to be the set of values, and ranks edges by repr once per
+call.  Verdicts, witnesses, every rho_j over the old modulus, its image
+and every loop list must agree."""
+
+import functools
+import sys
+from math import lcm
+
+import pytest
+
+from gbbkit import groups
+from gbbkit.covers import build_cover
+from gbbkit.errors import QuotientError
+from gbbkit.fixtures import (annulus_complex, cycle_complex, rose_graph,
+                             rose_wreath_recipe, square_cocycle_quotient,
+                             square_complex, square_index16_quotient,
+                             square_quotient_bits, triple_cover_quotient)
+from gbbkit.groups import (AbelianGroup, Permutation, PermutationGroup,
+                           TupleElement, WreathElement, power_product,
+                           subgroup_closure)
+from gbbkit.intsets import PeriodicSet
+from gbbkit.presentation import GbbPresentation, loops_upto
+from gbbkit.quotients import (FiniteQuotient, cocycle_recipe,
+                              hw_product_quotient, kernel_torsion_free,
+                              stabilizer_image, verify_bounded)
+from gbbkit.simplicial import subdivide_graph_edges
+
+# --- the closure oracles -------------------------------------------------------
+
+
+def as_permutation(g):
+    """A wreath-power element as a permutation, through a faithful action:
+    the wreath element (b, r) of S_N wr C_n sends (i, x) to
+    (i + r, b[i + r](x)), and the components of a tuple act on disjoint
+    blocks of n * N points."""
+    images = []
+    for w in g.parts:
+        n, N, offset = w.n, w.degree, len(images)
+        block = [0] * (n * N)
+        for i in range(n):
+            j = (i + w.rotor) % n
+            for x in range(N):
+                block[i * N + x] = j * N + w.base[j](x)
+        images.extend(offset + y for y in block)
+    return Permutation(tuple(images))
+
+
+@functools.cache
+def _closure_exponent(gens):
+    if isinstance(gens[0], TupleElement) and gens[0].parts and isinstance(
+            gens[0].parts[0], WreathElement):
+        gens = [as_permutation(g) for g in gens]
+    return subgroup_closure(gens).exponent()
+
+
+def closure_exponent(values):
+    """Exponent of the subgroup generated by ``values``.  Wreath-power
+    values are closed in the faithful permutation representation, which
+    is the same group and about ten times faster to close; the r = 4 and
+    r = 6 wreaths share their nontrivial values and one closure."""
+    gens = {g for g in values if not g.is_identity()}
+    return _closure_exponent(tuple(sorted(gens, key=repr)))
+
+
+def reference_modulus(q):
+    return lcm(q.presentation.S.modulus, closure_exponent(q.theta.values()))
+
+
+def reference_stabilizer_image(quotient, j):
+    cover = quotient.presentation.cover
+    ident = next(iter(quotient.theta.values())).identity_like()
+    rho = {}
+    for g, word in cover.loop_words.items():
+        rho[g] = (power_product([quotient.theta[e] for e in word], j)
+                  if word else ident)
+    for g in rho:
+        for h in rho:
+            if rho[g] * rho[h] != rho[g * h]:
+                raise QuotientError(
+                    f"rho_{j} is not a homomorphism at ({g},{h}): "
+                    "theta is not a verified quotient"
+                )
+    return rho, subgroup_closure(list(rho.values()))
+
+
+def reference_kernel_torsion_free(quotient):
+    pres = quotient.presentation
+    ident = next(iter(quotient.theta.values())).identity_like()
+    for j in range(reference_modulus(quotient)):
+        if j in pres.S:
+            continue
+        rho, _ = reference_stabilizer_image(quotient, j)
+        for g, v in rho.items():
+            if v == ident and g != pres.cover.deck.identity:
+                return False, (j, g)
+    return True, None
+
+
+# --- the quotient family ----------------------------------------------------------
+
+
+def cycle_cocycle_quotient(k, p, edge=0, power=1):
+    """The k-cycle with deck group Z/p generated by the power-th power of
+    a p-cycle on the edge from v<edge>, S = pZ, and its cocycle quotient."""
+    g = Permutation.from_cycles(p, tuple(range(p))) ** power
+    L = cycle_complex(k)
+    cover = build_cover(L, PermutationGroup(p, [g]),
+                        {(f"v{edge}", f"v{(edge + 1) % k}"): g}, "v0")
+    return cocycle_recipe(GbbPresentation(L, cover, PeriodicSet.multiples(p)))
+
+
+def abelian_quotients():
+    out = [square_quotient_bits(tuple(int(b) for b in format(i, "04b")))
+           for i in range(1, 16)]
+    out += [square_index16_quotient(), square_cocycle_quotient(),
+            triple_cover_quotient()]
+    # hw-products of the k-cycle cocycles with |Q| = p^k <= 243
+    for k, p in ((4, 2), (5, 2), (6, 2), (4, 3), (5, 3)):
+        out.append(hw_product_quotient(cycle_cocycle_quotient(k, p)))
+        out.append(hw_product_quotient(
+            cycle_cocycle_quotient(k, p, edge=k - 1, power=p - 1)))
+    return out
+
+
+WREATHS = [(r, n) for r in (4, 6) for n in (2, 3)]
+
+
+@pytest.fixture(scope="module")
+def wreaths():
+    return {(r, n): rose_wreath_recipe(r=r, n=n, loop_length_bound=2 * r)
+            for r, n in WREATHS}
+
+
+def assert_matches_reference(q):
+    m = reference_modulus(q)
+    period = lcm(q.presentation.S.modulus, q.target_exponent())
+    assert m % period == 0
+    for j in range(m):
+        assert stabilizer_image(q, j) == reference_stabilizer_image(q, j)
+    verdict = kernel_torsion_free(q)
+    assert verdict == reference_kernel_torsion_free(q)
+    return period, m, verdict
+
+
+def test_abelian_quotients_match_reference():
+    rows = [assert_matches_reference(q) for q in abelian_quotients()]
+    assert len(rows) == 28
+    # on abelian targets the generator period is the subgroup exponent
+    assert all(period == m for period, m, _ in rows)
+    # the seven even bit patterns of the square family have torsion
+    witnesses = [w for _, _, (tf, w) in rows if not tf]
+    assert len(witnesses) == 7
+    assert all(j == 1 for j, _ in witnesses)
+
+
+def test_wreath_quotients_match_reference(wreaths):
+    rows = {key: assert_matches_reference(res.quotient)
+            for key, res in wreaths.items()}
+    # the theta images have order n; the group they generate has
+    # elements of order 3n (n = 2) and 6n (n = 3)
+    for (r, n), row in rows.items():
+        assert row == (n, {2: 6, 3: 18}[n], (True, None))
+
+
+def test_faithful_representation_keeps_the_exponent(wreaths):
+    values = list(wreaths[(4, 2)].quotient.theta.values())
+    for a in values:
+        for b in values:
+            assert as_permutation(a * b) == as_permutation(a) * as_permutation(b)
+    assert closure_exponent(values) == subgroup_closure(values).exponent()
+
+
+def test_bounded_window_is_one_generator_period(wreaths):
+    for (r, n), res in wreaths.items():
+        q = verify_bounded(res.presentation, res.quotient.theta,
+                           loop_length_bound=r)
+        assert q.certificate.exponent_window == n
+        assert q.certificate.loops_checked > 0
+
+
+def test_homomorphism_failure_names_a_generator():
+    """A theta that is not a quotient: rho_1 fails the homomorphism check,
+    and the pair named has a deck generator second."""
+    q = square_quotient_bits((1, 0, 0, 0))
+    t3 = AbelianGroup((3,))
+    theta = {e: t3.element((1,)) if e == ("z", "w") else
+             t3.element((2,)) if e == ("w", "z") else t3.identity()
+             for e in q.theta}
+    bad = FiniteQuotient(q.presentation, t3, theta, "unverified", None)
+    with pytest.raises(QuotientError, match=r"rho_1 is not a homomorphism"):
+        reference_stabilizer_image(bad, 1)
+    with pytest.raises(QuotientError) as err:
+        stabilizer_image(bad, 1)
+    swap = q.presentation.cover.deck.generators[0]
+    assert str(err.value).endswith(
+        f",{swap}): theta is not a verified quotient")
+
+
+def test_quotient_path_builds_no_subgroup(monkeypatch, wreaths):
+    """Periods, stabilizer images and the bounded window are read off the
+    generators: with every binding of subgroup_closure refusing, they
+    still succeed."""
+    product = hw_product_quotient(cycle_cocycle_quotient(6, 5))
+    wreath = wreaths[(4, 2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("subgroup_closure called")
+
+    original = groups.subgroup_closure
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "gbbkit":
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, refuse)
+    assert groups.subgroup_closure is refuse
+    assert product.target.order == 5 ** 6
+    assert product.target_exponent() == 5
+    assert kernel_torsion_free(product) == (True, None)
+    for j in range(5):
+        _, image = stabilizer_image(product, j)
+        assert image.order == (1 if j == 0 else 5)
+    q = verify_bounded(wreath.presentation, wreath.quotient.theta,
+                       loop_length_bound=8)
+    assert q.certificate.passed
+
+
+# --- the rotation oracle ----------------------------------------------------------
+
+
+def reference_loops_upto(L, max_len, reduced=False):
+    """The replaced enumeration: every rotation is compared by its repr."""
+    out = set()
+    nbrs = {v: L.neighbors(v) for v in L.vertices}
+
+    def canonical(loop):
+        rots = [loop[i:] + loop[:i] for i in range(len(loop))]
+        return min(rots, key=repr)
+
+    def extend(path, start, current):
+        if path and current == start:
+            loop = tuple(path)
+            if not (reduced and len(loop) > 1
+                    and loop[-1] == (loop[0][1], loop[0][0])):
+                out.add(canonical(loop))
+        if len(path) == max_len:
+            return
+        for w in nbrs[current]:
+            if reduced and path and (current, w) == (path[-1][1], path[-1][0]):
+                continue
+            path.append((current, w))
+            extend(path, start, w)
+            path.pop()
+
+    for v in L.vertices:
+        extend([], v, v)
+    return sorted(out, key=repr)
+
+
+def rotation_cases():
+    """(complex, bound, reduced).  The rose subdivisions have mixed vertex
+    names: the rose vertex and tuples for the subdivision points."""
+    for r in range(4, 13):
+        rose = subdivide_graph_edges(rose_graph(2), r).complex
+        yield rose, 2 * r, True
+        yield rose, 8, False
+    for K in (square_complex(), annulus_complex()):
+        yield K, 8, True
+        yield K, 6, False
+    for n in range(3, 9):
+        yield cycle_complex(n), 2 * n, True
+        yield cycle_complex(n), 8, False
+
+
+def test_loops_match_repr_min_rotation():
+    sizes = []
+    for K, bound, reduced in rotation_cases():
+        got = loops_upto(K, bound, reduced=reduced)
+        assert got == reference_loops_upto(K, bound, reduced=reduced)
+        sizes.append(len(got))
+    assert min(sizes) > 0 and max(sizes) > 100

@@ -9,7 +9,8 @@ families below is rebuilt by the oracle from the same constructor
 arguments, and every attribute and query result must be equal.
 Components, on these families and on pullbacks, are compared with the
 breadth-first search that ``covers.pullback`` used to run on its own
-adjacency dict."""
+adjacency dict, and ``is_suitable`` with the scan of every maximal
+simplex per edge that it replaced."""
 
 import itertools
 import random
@@ -23,7 +24,8 @@ from gbbkit.fixtures import (annulus_complex, cycle_complex, fixture_names,
                              square_cover)
 from gbbkit.groups import Permutation, PermutationGroup
 from gbbkit.simplicial import (SimplicialComplex, SimplicialMap, barycentric,
-                               build_complex, identity_map, octahedralize,
+                               build_complex, identity_map, identity_record,
+                               is_suitable, octahedralize,
                                subdivide_graph_edges)
 
 # --- the scanning oracle -----------------------------------------------------
@@ -293,3 +295,40 @@ def test_pullback_components_match_reference():
         assert res.components == reference_components(res.cover.total)
         counts.add(len(res.components))
     assert counts == {1, 2, 3, 5}
+
+
+# --- suitability ----------------------------------------------------------------
+
+
+def reference_is_suitable(record):
+    """The replaced check: per edge, scan every maximal simplex of the
+    subdivision for the star and every maximal simplex of the original
+    for one containing the image."""
+    sub = record.subdivided
+    orig = record.original
+    f = record.approximation
+    for e in sub.edges():
+        u, v = tuple(e)
+        verts = set()
+        for s in sub.maximal_simplices:
+            if u in s or v in s:
+                verts |= s
+        img = frozenset(f(w) for w in verts)
+        if not any(img <= m for m in orig.maximal_simplices):
+            return False, (u, v, img)
+    return True, None
+
+
+def test_is_suitable_matches_reference():
+    verdicts = []
+    factories = [square_complex, annulus_complex, two_simplex]
+    factories += [lambda n=n: cycle_complex(n) for n in range(3, 13)]
+    for factory in factories:
+        for record in (identity_record(factory()),
+                       barycentric(factory(), 1), barycentric(factory(), 2)):
+            verdict = is_suitable(record)
+            assert verdict == reference_is_suitable(record)
+            verdicts.append(verdict[0])
+    # only the 2-simplex passes without the second subdivision
+    assert verdicts == ([False, False, True] * 2 + [True] * 3
+                        + [False, False, True] * 10)
