@@ -209,7 +209,7 @@ def build_complex_cmd(fixture, bits, quotient_file, wrap, dump_cells, as_json):
 
     def run():
         pres, q = _resolve_quotient(fixture, bits, quotient_file)
-        N = wrap or _default_wrap(pres, q)
+        N = _default_wrap(pres, q) if wrap is None else wrap
         Y = build_quotient(pres, q, N, validate_links=True)
         env = ReportEnvelope(
             "build-complex",
@@ -244,7 +244,7 @@ def check_special_cmd(fixture, bits, quotient_file, wrap, stabilize, as_json):
 
     def run():
         pres, q = _resolve_quotient(fixture, bits, quotient_file)
-        N = wrap or _default_wrap(pres, q)
+        N = _default_wrap(pres, q) if wrap is None else wrap
         env = ReportEnvelope(
             "check-special",
             {"fixture": fixture, "bits": bits, "quotient": quotient_file,

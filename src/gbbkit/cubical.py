@@ -23,6 +23,16 @@ squares are parametrized by explicit group data:
   where eta is the cover's edge-transport element.  Corner closure (the
   tops of E3 and E4 agree at height j+2) is asserted during construction.
 
+Every cell is addressed by its position.  Q is indexed once, in
+``Q.elements()`` order, and translation by an element d is the table of
+positions of q + d over that index.  Edge (j, u, q) sits at position
+(j |V(L)| + u) |Q| + q of ``edges`` (u and q by their positions), and the
+square with lower-left side (j, u, q) over the b-th base edge at
+(j |E(L)| + b) |Q| + q of ``squares``.  The ends of an edge, the sides of
+a square and the squares at an edge are int lists, filled from translation
+tables, so no cell needs a group product; hyperplanes and cylinders are
+unions over those lists.
+
 Q acts on the complex by translating the torsor coordinate,
 (j, u, q') -> (j, u, q' + q).  Construction asserts once that, for each
 height and base edge, the sides of every square sit at the same offsets
@@ -42,9 +52,23 @@ the map the parametrization predicts:
   onto S(M) with each vertex (u, g) of the cover renamed (u, g h(u)^-1),
   h(u) the deck element of the chosen lift of u.
 
-The certificate checks that the map is a bijection onto the vertices of
-the doubled complex and that the edge sets are equal; a mismatch names the
-link edge.  Heights outside S where rho_j is not injective are unchecked.
+The doubled complexes enter only through their 1-skeletons, which have a
+closed form: the vertices V x {+1, -1} and, for every edge {a, b}, the four
+edges {(a, s), (b, t)}.  The certificate checks that the map is a
+bijection onto those vertices and that the edge sets are equal; a mismatch
+names the link edge.  Heights outside S where rho_j is not injective are
+unchecked.
+
+The same translation skips most of the osculation scan.  It permutes the
+vertices of a height, carries the link of one onto the link of the other
+and hyperplanes onto hyperplanes, and keeps the squares, so it carries an
+osculating contact to an osculating contact and keeps whether its two
+edges lie in one hyperplane and whether they cross locally.  So if no
+contact at the first vertex of a height is a self- or inter-osculation, no
+contact at any vertex of that height is one.  The scan visits the first
+vertex of each height and goes on to the other vertices of that height
+only when the first has such a contact, which keeps the scan order, and so
+every witness, unchanged.
 
 Hyperplanes, the four specialness pathologies, cylinders and their
 stabilizers, and the vertical-shift stabilization analysis all operate on
@@ -53,15 +77,13 @@ this finite model.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 from .errors import CubicalError, InternalError
 from .groups import AbelianGroup
 from .quotients import FiniteQuotient, stabilizer_image
-from .simplicial import octahedralize
 
 
 @dataclass(frozen=True)
@@ -74,7 +96,8 @@ class Edge:
     q: object  # AbelianElement
 
     def __post_init__(self):
-        # edges key every incidence table, so hash each one once
+        # edges are the members of hyperplanes and cylinders, so hash
+        # each one once
         object.__setattr__(self, "_hash", hash((self.j, self.label, self.q)))
 
     def __hash__(self):
@@ -104,6 +127,59 @@ class Square:
 
     def labels(self):
         return frozenset((self.e1.label, self.e2.label))
+
+
+def _translation(factors, shift):
+    """Translation by the element with coordinates ``shift``, as the list
+    of positions of q + shift over q in ``elements()`` order."""
+    table = [0]
+    for f, c in zip(factors, shift):
+        digits = [(x + c) % f for x in range(f)]
+        table = [t * f + d for t in table for d in digits]
+    return table
+
+
+def _unite(parent, positions):
+    """Put ``positions`` into one class of the union-find over the list
+    ``parent``, halving the paths it walks."""
+    root = None
+    for p in positions:
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        if root is None:
+            root = p
+        elif p != root:
+            parent[p] = root
+
+
+def _difference(Y, x, y):
+    """The element q_x - q_y of Q, for Q positions x and y."""
+    elements = Y._elements
+    return elements[Y._index[tuple(
+        (a - b) % f for a, b, f in zip(elements[x].coords, elements[y].coords,
+                                       Y.Q.factors))]]
+
+
+def _label_positions(Y, u):
+    """The positions of the edges with the u-th label, ascending."""
+    nQ, nV = len(Y._elements), len(Y._label_index)
+    return [p for j in range(Y.N)
+            for p in range((j * nV + u) * nQ, (j * nV + u + 1) * nQ)]
+
+
+def _find(parent, p):
+    while parent[p] != p:
+        parent[p] = p = parent[parent[p]]
+    return p
+
+
+def _classes(parent, positions):
+    """The union-find classes met by ``positions``, each listed in that
+    order, keyed by their roots and ordered by their first member."""
+    classes = {}
+    for p in positions:
+        classes.setdefault(_find(parent, p), []).append(p)
+    return classes
 
 
 class QuotientCubeComplex:
@@ -136,6 +212,13 @@ class QuotientCubeComplex:
         N = self.N
         cover = pres.cover
         L = pres.L
+        factors = self.Q.factors
+
+        # the index of Q and of the base vertices
+        elements = self._elements = list(self.Q.elements())
+        self._index = {q.coords: i for i, q in enumerate(elements)}
+        self._label_index = {u: i for i, u in enumerate(L.vertices)}
+        nQ, nV = len(elements), len(L.vertices)
 
         # transport tables
         self.rho = {}
@@ -149,113 +232,153 @@ class QuotientCubeComplex:
         self.tau = {}
         ident = self.Q.identity()
         for u in L.vertices:
-            word = cover.path_words[u]
             val = ident
-            for e in word:
+            for e in cover.path_words[u]:
                 val = val * quotient.theta[e]
             self.tau[u] = val
-        self.rho_eta = {}  # (j, u, u') -> rho_j(eta(u,u')) as Q element
-        for j in range(N):
-            for (a, b) in L.directed_edges():
-                self.rho_eta[(j, a, b)] = self.rho[j][cover.eta[(a, b)]]
+        self._tau_shift = [_translation(factors, self.tau[u].coords)
+                           for u in L.vertices]
 
-        # vertices: cosets Q/P_j, canonical representative = min of coset
+        # vertices: cosets Q/P_j, each named by its least element, which is
+        # the first one met in index order
         self.vertices = []
-        vertex_of = {}  # (j, element) -> (j, representative of its coset)
+        self._height_start = []  # height -> position of its first vertex
+        self._vertex_at = []     # height -> Q position -> vertex position
         for j in range(N):
-            for q in self.Q.elements():
-                if (j, q) in vertex_of:
-                    continue
-                coset = sorted(q * p for p in self.P[j])
-                v = (j, coset[0])
-                for x in coset:
-                    vertex_of[(j, x)] = v
-                self.vertices.append(v)
+            cosets = [_translation(factors, p.coords) for p in self.P[j]]
+            owner = [-1] * nQ
+            self._height_start.append(len(self.vertices))
+            for x in range(nQ):
+                if owner[x] < 0:
+                    for shift in cosets:
+                        owner[shift[x]] = len(self.vertices)
+                    self.vertices.append((j, elements[x]))
+            self._vertex_at.append(owner)
+        self._height_start.append(len(self.vertices))
 
-        # edges, with their bottom and top vertices computed once
-        self.edges = [
-            Edge(j, u, q)
-            for j in range(N)
-            for u in L.vertices
-            for q in self.Q.elements()
-        ]
-        self._ends = {}  # edge -> (bottom vertex, top vertex)
-        self._edges_by_bottom = {}
-        self._edges_by_top = {}
-        for e in self.edges:
-            j1 = (e.j + 1) % N
-            bottom = vertex_of[(e.j, e.q)]
-            top = vertex_of[(j1, e.q * self.tau[e.label])]
-            self._ends[e] = (bottom, top)
-            self._edges_by_bottom.setdefault(bottom, []).append(e)
-            self._edges_by_top.setdefault(top, []).append(e)
+        # edges and the vertex positions of their ends
+        self.edges = [Edge(j, u, q) for j in range(N) for u in L.vertices
+                      for q in elements]
+        self._bottom, self._top = [], []
+        for j in range(N):
+            here, above = self._vertex_at[j], self._vertex_at[(j + 1) % N]
+            for shift in self._tau_shift:
+                self._bottom.extend(here)
+                self._top.extend([above[x] for x in shift])
+        self._ups = [[] for _ in self.vertices]    # edges rising from v
+        self._downs = [[] for _ in self.vertices]  # edges arriving at v
+        for p, (b, t) in enumerate(zip(self._bottom, self._top)):
+            self._ups[b].append(p)
+            self._downs[t].append(p)
 
-        # squares, one per (height, base edge, torsor coordinate); their
-        # sides are the edge objects above
-        edge_at = {(e.j, e.label, e.q): e for e in self.edges}
-        self.squares = []
-        self._squares_of_edge = {e: [] for e in self.edges}
+        # squares, one per (height, base edge, torsor coordinate), as the
+        # positions of their sides; _squares_at lists 4 s + k for each
+        # square s with the edge as its side k
+        self._sides = []
+        self._squares_at = [[] for _ in self.edges]
         for j in range(N):
             j1 = (j + 1) % N
             for base_edge in L.edges():
                 u, u2 = sorted(base_edge, key=L.vertex_position)
-                d2 = self.rho_eta[(j, u, u2)].inverse()
-                d3 = self.tau[u] * self.rho_eta[(j1, u, u2)].inverse()
-                d4 = self.tau[u2] * self.rho_eta[(1 % N, u, u2)]
-                for q in self.Q.elements():
-                    sq = Square(edge_at[(j, u, q)], edge_at[(j, u2, q * d2)],
-                                edge_at[(j1, u2, q * d3)],
-                                edge_at[(j1, u, q * d4)])
-                    self._check_square(sq)
-                    self.squares.append(sq)
-                    for e in sq.sides():
-                        self._squares_of_edge[e].append(sq)
+                eta = cover.eta[(u, u2)]
+                a, b = self._label_index[u], self._label_index[u2]
+                d2 = self.rho[j][eta].inverse()
+                d3 = self.tau[u] * self.rho[j1][eta].inverse()
+                d4 = self.tau[u2] * self.rho[1 % N][eta]
+                t2, t3, t4 = (_translation(factors, d.coords)
+                              for d in (d2, d3, d4))
+                o1, o2 = (j * nV + a) * nQ, (j * nV + b) * nQ
+                o3, o4 = (j1 * nV + b) * nQ, (j1 * nV + a) * nQ
+                for x in range(nQ):
+                    sides = (o1 + x, o2 + t2[x], o3 + t3[x], o4 + t4[x])
+                    self._check_square(sides)
+                    s = 4 * len(self._sides)
+                    self._sides.append(sides)
+                    for k, p in enumerate(sides):
+                        self._squares_at[p].append(s + k)
+        edges = self.edges
+        self.squares = [Square(edges[p1], edges[p2], edges[p3], edges[p4])
+                        for p1, p2, p3, p4 in self._sides]
         self._check_translation()
 
-    def _check_square(self, sq):
+    def _check_square(self, sides):
         # lower sides share the bottom corner; vertical sides close up
-        if self.bottom(sq.e1) != self.bottom(sq.e2):
+        s1, s2, s3, s4 = sides
+        bottom, top = self._bottom, self._top
+        if bottom[s1] != bottom[s2]:
             raise InternalError("square corners do not close at the bottom")
-        if self.top(sq.e1) != self.bottom(sq.e3):
+        if top[s1] != bottom[s3]:
             raise InternalError("square corners do not close on the left")
-        if self.top(sq.e2) != self.bottom(sq.e4):
+        if top[s2] != bottom[s4]:
             raise InternalError("square corners do not close on the right")
-        if self.top(sq.e3) != self.top(sq.e4):
+        if top[s3] != top[s4]:
             raise InternalError("square corners do not close at the top")
-        if sq.e1.label == sq.e2.label:
+        nQ, nV = len(self._elements), len(self._label_index)
+        if (s1 // nQ - s2 // nQ) % nV == 0:
             raise InternalError("adjacent square sides share a label")
 
     def _check_translation(self):
         """Translation by Q maps squares to squares: over each height and
         base edge, every square's sides sit at one set of offsets from its
         lower-left side, whose coordinate runs over Q exactly once."""
-        factors = self.Q.factors
-        shapes = {}  # (j, u, u') -> (side offsets, lower-left coordinates)
+        nQ, nV = len(self._elements), len(self._label_index)
+        label, index = self._label_index, self._index
+        shapes = {}  # (j, u, u') -> (side blocks and offsets, lower-lefts)
         for sq in self.squares:
-            e1 = sq.e1
-            c1 = e1.q.coords
-            shape = tuple(
-                (e.j, e.label, tuple((x - y) % f for x, y, f in
-                                     zip(e.q.coords, c1, factors)))
-                for e in (sq.e2, sq.e3, sq.e4))
-            key = (e1.j, e1.label, sq.e2.label)
-            first, coords = shapes.setdefault(key, (shape, []))
-            if shape != first:
-                raise InternalError(
-                    f"square {sq.sides()} is not a translate of the first "
-                    f"square over {key}")
-            coords.append(c1)
-        for key, (_, coords) in shapes.items():
-            if len(coords) != self.Q.order or len(set(coords)) != len(coords):
+            # self.position of each side, inlined
+            p1, *rest = [(e.j * nV + label[e.label]) * nQ + index[e.q.coords]
+                         for e in sq.sides()]
+            x1 = p1 % nQ
+            key = (sq.e1.j, sq.e1.label, sq.e2.label)
+            if key not in shapes:
+                shapes[key] = ([(p // nQ, _translation(
+                    self.Q.factors, _difference(self, p % nQ, x1).coords))
+                    for p in rest], [])
+            shape, lower_left = shapes[key]
+            for p, (block, shift) in zip(rest, shape):
+                if p // nQ != block or p % nQ != shift[x1]:
+                    raise InternalError(
+                        f"square {sq.sides()} is not a translate of the "
+                        f"first square over {key}")
+            lower_left.append(x1)
+        for key, (_, lower_left) in shapes.items():
+            if len(lower_left) != nQ or len(set(lower_left)) != nQ:
                 raise InternalError(
                     f"the squares over {key} do not form one Q-orbit")
 
     # -- incidence -------------------------------------------------------
+    def position(self, e):
+        """The position of the edge e in ``edges``."""
+        return ((e.j * len(self._label_index) + self._label_index[e.label])
+                * len(self._elements) + self._index[e.q.coords])
+
+    def vertex_position(self, v):
+        """The position of the vertex v = (j, r) in ``vertices``."""
+        j, r = v
+        return self._vertex_at[j][self._index[r.coords]]
+
     def bottom(self, e):
-        return self._ends[e][0]
+        return self.vertices[self._bottom[self.position(e)]]
 
     def top(self, e):
-        return self._ends[e][1]
+        return self.vertices[self._top[self.position(e)]]
+
+    # Edge-keyed views of the incidence lists, built on first use; the
+    # module itself reads only the lists
+    @cached_property
+    def _edges_by_bottom(self):
+        return {self.vertices[v]: [self.edges[p] for p in ps]
+                for v, ps in enumerate(self._ups)}
+
+    @cached_property
+    def _edges_by_top(self):
+        return {self.vertices[v]: [self.edges[p] for p in ps]
+                for v, ps in enumerate(self._downs)}
+
+    @cached_property
+    def _squares_of_edge(self):
+        return {e: [self.squares[s >> 2] for s in at]
+                for e, at in zip(self.edges, self._squares_at)}
 
     def translate_edge(self, e, q):
         """The action of Q on edges (translation of the torsor coordinate)."""
@@ -297,101 +420,142 @@ def build_quotient(pres, quotient: FiniteQuotient, N, validate_links=True,
 # ---------------------------------------------------------------------------
 # links
 
-_SIGN = {"up": 1, "down": -1}
+# a link end is 2 p + 1 for the edge at position p rising from the vertex
+# and 2 p for the edge arriving at it
+_UP, _DOWN = 1, 0
+_ROLE = ("down", "up")
+_SIGN = (-1, 1)
 
-# the corners of a square pair edge-ends, written (side index, role):
+# the corners of a square pair side ends, written 2 k + role for side k:
 # bottom of e1 and e2, top of e1 = bottom of e3, top of e2 = bottom of e4,
 # top of e3 and e4; each end of each side lies in exactly one corner
-_PARTNER = {
-    (0, "up"): (1, "up"), (1, "up"): (0, "up"),
-    (0, "down"): (2, "up"), (2, "up"): (0, "down"),
-    (1, "down"): (3, "up"), (3, "up"): (1, "down"),
-    (2, "down"): (3, "down"), (3, "down"): (2, "down"),
-}
+_CORNERS = ((0 + _UP, 2 + _UP), (0 + _DOWN, 4 + _UP),
+            (2 + _DOWN, 6 + _UP), (4 + _DOWN, 6 + _DOWN))
+_PARTNER = {a: b for corner in _CORNERS for a, b in (corner, corner[::-1])}
 
 
 def _link(Y, v):
-    """The link of a vertex as adjacency sets: nodes are edge-ends incident
-    at v ((edge, 'up') for edges rising from v, (edge, 'down') for edges
-    arriving at v) and link edges come from the four corners of each
-    square at v.  The corner through an end at v lies at v, because the
-    construction checks that every square's corners close."""
-    link = {(e, "up"): set() for e in Y._edges_by_bottom.get(v, ())}
-    link.update(((e, "down"), set()) for e in Y._edges_by_top.get(v, ()))
-    for (e, role), near in link.items():
-        for sq in Y._squares_of_edge[e]:
-            sides = sq.sides()
-            for k, side in enumerate(sides):
-                if side is e:  # squares are built from Y's own edge objects
-                    other, other_role = _PARTNER[(k, role)]
-                    near.add((sides[other], other_role))
+    """The link of the vertex at position v as adjacency sets over link
+    ends; link edges come from the four corners of each square at v.  The
+    corner through an end at v lies at v, because the construction checks
+    that every square's corners close."""
+    link = {2 * p + _UP: set() for p in Y._ups[v]}
+    link.update((2 * p + _DOWN, set()) for p in Y._downs[v])
+    sides, at = Y._sides, Y._squares_at
+    for end, near in link.items():
+        role = end & 1
+        for s in at[end >> 1]:
+            other = _PARTNER[2 * (s & 3) + role]
+            near.add(2 * sides[s >> 2][other >> 1] + (other & 1))
     return link
 
 
+def _end(Y, end):
+    """A link end as (edge, 'up' or 'down')."""
+    return (Y.edges[end >> 1], _ROLE[end & 1])
+
+
 def _doubled(Y, tag):
-    """(vertices, edges) of the doubled complex a link of type ``tag`` must
-    equal: octahedralize(L) for 'S(L)'; for 'S(M)', octahedralize of the
-    cover's total space with each vertex (u, g) renamed (u, g h(u)^-1)."""
+    """(vertices, edges) of the 1-skeleton of the doubled complex a link of
+    type ``tag`` must equal: V x {+1, -1} and {(a, s), (b, t)} for each
+    edge {a, b} and signs s, t, where V and the edges are those of L for
+    'S(L)', and for 'S(M)' those of the cover's total space with each
+    vertex (u, g) renamed (u, g h(u)^-1)."""
     if tag not in Y._link_models:
         cover = Y.presentation.cover
         if tag == "S(L)":
-            oc = octahedralize(Y.presentation.L)
-            name = {x: x for x in oc.vertices}
+            K = Y.presentation.L
+            name = {x: x for x in K.vertices}
         else:
-            oc = octahedralize(cover.total)
-            name = {((u, g), sign): ((u, g * cover.h[u].inverse()), sign)
-                    for (u, g), sign in oc.vertices}
+            K = cover.total
+            name = {(u, g): (u, g * cover.h[u].inverse())
+                    for u, g in K.vertices}
+        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
         Y._link_models[tag] = (
-            frozenset(name.values()),
-            frozenset(frozenset(name[x] for x in e) for e in oc.edges()),
+            frozenset((name[x], s) for x in K.vertices for s in (1, -1)),
+            frozenset(frozenset(((name[a], s), (name[b], t)))
+                      for a, b in K.edges() for s, t in signs),
         )
     return Y._link_models[tag]
 
 
 def _predicted_map(Y, v, link, tag):
-    """The map from the link at v = (j, r) onto the doubled complex that
-    the parametrization predicts (see the module docstring); an end whose
-    offset lies outside P_j maps to a deck element of None."""
+    """The map from the link at the vertex at position v onto the doubled
+    complex that the parametrization predicts (see the module docstring);
+    an end whose offset lies outside P_j maps to a deck element of
+    None."""
+    labels = Y.presentation.L.vertices
+    nQ, nV = len(Y._elements), len(labels)
     if tag == "S(L)":
-        return {end: (end[0].label, _SIGN[end[1]]) for end in link}
-    j, r = v
-    deck_of = {x: g for g, x in Y.rho[j].items()}
+        return {end: (labels[(end >> 1) // nQ % nV], _SIGN[end & 1])
+                for end in link}
+    j, r = Y.vertices[v]
+    deck_of = {x.coords: g for g, x in Y.rho[j].items()}
     out = {}
-    for e, role in link:
-        reached = e.q if role == "up" else e.q * Y.tau[e.label]
-        out[(e, role)] = ((e.label, deck_of.get(r * reached.inverse())),
-                          _SIGN[role])
+    for end in link:
+        p = end >> 1
+        u = labels[p // nQ % nV]
+        reached = Y._elements[p % nQ].coords
+        if not end & 1:
+            reached = [a + b for a, b in zip(reached, Y.tau[u].coords)]
+        offset = tuple((a - b) % f for a, b, f in
+                       zip(r.coords, reached, Y.Q.factors))
+        out[end] = ((u, deck_of.get(offset)), _SIGN[end & 1])
     return out
 
 
-def _link_mismatch(Y, v, link, tag):
-    """None when the predicted map is an isomorphism from the link at v
-    onto the doubled complex ``tag``; otherwise the reason, naming the
-    link end or link edge that does not match."""
+def _edge_id(a, b, n):
+    return a * n + b if a < b else b * n + a
+
+
+def _model_ids(Y, tag):
+    """The doubled complex ``tag`` with integer ids: its vertices, a map
+    from each to its id (its place in the vertices), and a map from the id
+    of each edge (from the ids of its ends) to the edge.  An edge end off
+    the vertices, in a damaged model, gets the id n = |vertices|, which no
+    link end maps to."""
     nodes, edges = _doubled(Y, tag)
+    ids = {x: i for i, x in enumerate(nodes)}
+    n = len(ids)
+    return nodes, ids, {_edge_id(*(ids.get(x, n) for x in e), n + 1): e
+                        for e in edges}
+
+
+def _link_mismatch(Y, v, link, tag, model):
+    """None when the predicted map is an isomorphism from the link at the
+    vertex at position v onto the doubled complex ``tag``, given as
+    ``_model_ids(Y, tag)``; otherwise the reason, naming the link end or
+    link edge that does not match."""
+    nodes, ids, edges = model
+    n = len(ids)
     phi = _predicted_map(Y, v, link, tag)
-    back = {}
+    id_of, back = {}, {}
     for end, image in phi.items():
-        if image not in nodes:
-            return f"link end {end} maps to {image}, not a vertex of {tag}"
-        if image in back:
-            return f"link ends {back[image]} and {end} both map to {image}"
-        back[image] = end
-    if len(back) != len(nodes):
-        missing = min(nodes - back.keys(), key=repr)
+        i = ids.get(image)
+        if i is None:
+            return (f"link end {_end(Y, end)} maps to {image}, not a vertex "
+                    f"of {tag}")
+        if i in back:
+            return (f"link ends {_end(Y, back[i])} and {_end(Y, end)} both "
+                    f"map to {image}")
+        id_of[end] = i
+        back[i] = end
+    if len(back) != n:
+        missing = min((x for x in nodes if ids[x] not in back), key=repr)
         return f"no link end maps to the vertex {missing} of {tag}"
     hit = set()
     for a, near in link.items():
         for b in near:
-            image = frozenset((phi[a], phi[b]))
-            if image not in edges:
-                return (f"link edge {a} -- {b} maps to {phi[a]} -- {phi[b]}, "
-                        f"not an edge of {tag}")
-            hit.add(image)
+            i = _edge_id(id_of[a], id_of[b], n + 1)
+            if i not in edges:
+                return (f"link edge {_end(Y, a)} -- {_end(Y, b)} maps to "
+                        f"{phi[a]} -- {phi[b]}, not an edge of {tag}")
+            hit.add(i)
     if len(hit) != len(edges):
-        x, y = min((sorted(e, key=repr) for e in edges - hit), key=repr)
-        return (f"no link edge {back[x]} -- {back[y]} over the edge "
-                f"{x} -- {y} of {tag}")
+        x, y = min((sorted(e, key=repr) for i, e in edges.items()
+                    if i not in hit), key=repr)
+        return (f"no link edge {_end(Y, back[ids[x]])} -- "
+                f"{_end(Y, back[ids[y]])} over the edge {x} -- {y} of {tag}")
     return None
 
 
@@ -400,19 +564,28 @@ def _injective(Y, j):
 
 
 def vertex_link(Y, v):
-    """(link, tag): the link as adjacency sets over edge-ends, and 'S(L)'
-    for the doubled base or 'S(M)' for the doubled cover total space when
-    the predicted map certifies it; otherwise 'quotient-of-S(M)' at
-    heights outside S and 'unknown' at heights in S."""
-    link = _link(Y, v)
+    """(link, tag): the link as adjacency sets over edge-ends
+    ((edge, 'up') for edges rising from v, (edge, 'down') for edges
+    arriving at v), and 'S(L)' for the doubled base or 'S(M)' for the
+    doubled cover total space when the predicted map certifies it;
+    otherwise 'quotient-of-S(M)' at heights outside S and 'unknown' at
+    heights in S."""
+    i = Y.vertex_position(v)
+    link = _link(Y, i)
     j = v[0]
-    if len(Y.P[j]) == 1 and _link_mismatch(Y, v, link, "S(L)") is None:
-        return link, "S(L)"
-    if _injective(Y, j) and _link_mismatch(Y, v, link, "S(M)") is None:
-        return link, "S(M)"
-    if j not in Y.presentation.S:
-        return link, "quotient-of-S(M)"
-    return link, "unknown"
+    if len(Y.P[j]) == 1 and _link_mismatch(
+            Y, i, link, "S(L)", _model_ids(Y, "S(L)")) is None:
+        tag = "S(L)"
+    elif _injective(Y, j) and _link_mismatch(
+            Y, i, link, "S(M)", _model_ids(Y, "S(M)")) is None:
+        tag = "S(M)"
+    elif j not in Y.presentation.S:
+        tag = "quotient-of-S(M)"
+    else:
+        tag = "unknown"
+    named = {_end(Y, end): {_end(Y, b) for b in near}
+             for end, near in link.items()}
+    return named, tag
 
 
 def _validate_all_links(Y):
@@ -420,19 +593,21 @@ def _validate_all_links(Y):
     Q, asserted during construction, carries it to the other vertices of
     that height."""
     S = Y.presentation.S
-    first = {}
-    for v in Y.vertices:
-        first.setdefault(v[0], v)
-    for j, v in first.items():
+    models = {}
+    for j in range(Y.N):
+        v = Y._height_start[j]
         if j in S:
-            tag, model = "S(L)", "the doubled base"
+            tag, name = "S(L)", "the doubled base"
         elif _injective(Y, j):
-            tag, model = "S(M)", "the doubled cover total space"
+            tag, name = "S(M)", "the doubled cover total space"
         else:
             continue
-        reason = _link_mismatch(Y, v, _link(Y, v), tag)
+        if tag not in models:
+            models[tag] = _model_ids(Y, tag)
+        reason = _link_mismatch(Y, v, _link(Y, v), tag, models[tag])
         if reason is not None:
-            raise InternalError(f"link at {v} is not {model}: {reason}")
+            raise InternalError(
+                f"link at {Y.vertices[v]} is not {name}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -445,28 +620,11 @@ class Hyperplane:
     edges: frozenset
     label: object
     two_sided: bool = True
+    # the positions of the edges in Y.edges, ascending
+    positions: tuple = field(default=(), repr=False, compare=False)
 
     def __repr__(self):
         return f"Hyperplane(#{self.index}, label={self.label}, size={len(self.edges)})"
-
-
-class _UnionFind:
-    """Union-find over the given items; every root is one of the items
-    themselves, so identity decides."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] is not x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra is not rb:
-            self.parent[ra] = rb
 
 
 def hyperplanes(Y):
@@ -474,24 +632,36 @@ def hyperplanes(Y):
     relation.  Opposite sides always point the same vertical way, so the
     directed classes come in matched up/down pairs over the same edge set;
     each class is reported once, with two-sidedness asserted."""
-    uf = _UnionFind(Y.edges)
-    for sq in Y.squares:
-        if sq.e1.label != sq.e4.label or sq.e2.label != sq.e3.label:
+    nQ = len(Y._elements)
+    nV = len(Y._label_index)
+    parent = list(range(len(Y.edges)))
+    for s1, s2, s3, s4 in Y._sides:
+        if (s1 // nQ - s4 // nQ) % nV or (s2 // nQ - s3 // nQ) % nV:
             raise InternalError("opposite square sides carry distinct labels")
-        uf.union(sq.e1, sq.e4)
-        uf.union(sq.e2, sq.e3)
-    classes = {}
-    for e in Y.edges:
-        classes.setdefault(uf.find(e), []).append(e)
+        _unite(parent, (s1, s4))
+        _unite(parent, (s2, s3))
+    labels = Y.presentation.L.vertices
+    names = [str(u) for u in labels]
+    classes = sorted(_classes(parent, range(len(Y.edges))).values(),
+                     key=lambda ps: (names[ps[0] // nQ % nV],
+                                     ps[0] // (nQ * nV)))
     out = []
-    for i, (_, members) in enumerate(sorted(
-        classes.items(), key=lambda kv: (str(kv[1][0].label), kv[1][0].j)
-    )):
-        labels = {e.label for e in members}
-        if len(labels) != 1:
+    for i, members in enumerate(classes):
+        kinds = {p // nQ % nV for p in members}
+        if len(kinds) != 1:
             raise InternalError("hyperplane with mixed labels")
-        out.append(Hyperplane(i, frozenset(members), labels.pop()))
+        out.append(Hyperplane(i, frozenset(Y.edges[p] for p in members),
+                              labels[kinds.pop()], positions=tuple(members)))
     return out
+
+
+def _plane_at(Y, planes):
+    """The hyperplane index of each edge, by position."""
+    plane_at = [0] * len(Y.edges)
+    for h in planes:
+        for p in h.positions:
+            plane_at[p] = h.index
+    return plane_at
 
 
 def hyperplane_counts(planes, directed=False):
@@ -557,7 +727,9 @@ def specialness(Y):
     corner criterion, rather than mere co-membership in some square, is
     what makes the scan correct on branched complexes, where two edges
     can share both endpoints and lie in a common square that witnesses
-    adjacency at only one of the two.)
+    adjacency at only one of the two.)  The other vertices of a height
+    are scanned only when a contact at its first vertex is one of the
+    osculations below (see the module docstring).
 
     * A hyperplane directly self-osculates when two of its own edges
       form an osculating contact with consistent direction (two arrivals
@@ -573,54 +745,74 @@ def specialness(Y):
       belong to it.  Two-sidedness holds by vertical orientation and is
       asserted via the height pattern of every square."""
     planes = hyperplanes(Y)
-    plane_of = {}
-    for h in planes:
-        for e in h.edges:
-            plane_of[e] = h
-
+    plane_at = _plane_at(Y, planes)
     report = SpecialnessReport(wrap=Y.N, counts=hyperplane_counts(planes))
+    per_height = len(Y._elements) * len(Y._label_index)
 
     # two-sidedness: a square never has opposite sides with opposite
     # vertical direction in this model; assert the stronger statement that
     # opposite sides sit at the same height offset pattern
-    for sq in Y.squares:
-        if sq.e1.j != sq.e2.j or sq.e3.j != sq.e4.j:
+    for sq, (s1, s2, s3, s4) in zip(Y.squares, Y._sides):
+        if s1 // per_height != s2 // per_height or (
+                s3 // per_height != s4 // per_height):
             report.non_two_sided.append(sq)
 
     # self-intersection scan; also collect, per edge, the hyperplanes of
     # its adjacent square sides (the local crossing data)
-    adjacent_planes = {e: set() for e in Y.edges}
-    for sq in Y.squares:
-        for a, b in ((sq.e1, sq.e2), (sq.e1, sq.e3), (sq.e2, sq.e4), (sq.e3, sq.e4)):
-            adjacent_planes[a].add(plane_of[b].index)
-            adjacent_planes[b].add(plane_of[a].index)
-            if plane_of[a] is plane_of[b]:
-                report.self_intersections.append((plane_of[a], sq))
+    adjacent_planes = [set() for _ in Y.edges]
+    for sq, (s1, s2, s3, s4) in zip(Y.squares, Y._sides):
+        for a, b in ((s1, s2), (s1, s3), (s2, s4), (s3, s4)):
+            ha, hb = plane_at[a], plane_at[b]
+            adjacent_planes[a].add(hb)
+            adjacent_planes[b].add(ha)
+            if ha == hb:
+                report.self_intersections.append((planes[ha], sq))
 
-    name = {e: repr(e) for e in Y.edges}
+    names = {}
     seen_self = set()
     seen_inter = set()
-    for v in Y.vertices:
+
+    def name(end):
+        p = end >> 1
+        if p not in names:
+            names[p] = repr(Y.edges[p])
+        return names[p], end & 1
+
+    def scan(v):
+        """Record the osculations at the vertex at position v; True when
+        it has any, recorded before or not."""
         link = _link(Y, v)
-        ends = [(end, plane_of[end[0]], adjacent_planes[end[0]])
-                for end in sorted(link, key=lambda n: (name[n[0]], n[1]))]
-        for i, ((e1, r1), h1, crossing1) in enumerate(ends):
-            linked = link[(e1, r1)]
-            for end2, h2, crossing2 in ends[i + 1:]:
-                # link ends carry Y's own edge objects
-                e2, r2 = end2
-                if e1 is e2 or end2 in linked:
+        ends = [(end, end >> 1, plane_at[end >> 1],
+                 adjacent_planes[end >> 1]) for end in sorted(link, key=name)]
+        found = False
+        for i, (end1, e1, h1, crossing1) in enumerate(ends):
+            linked = link[end1]
+            for end2, e2, h2, crossing2 in ends[i + 1:]:
+                if e1 == e2 or end2 in linked:
                     continue
-                if h1 is h2:
+                if h1 == h2:
                     # same direction toward v means same link role
-                    if r1 == r2 and h1.index not in seen_self:
-                        seen_self.add(h1.index)
-                        report.self_osculations.append((h1, (e1, e2)))
-                elif h2.index in crossing1 and h1.index in crossing2:
-                    key = frozenset((h1.index, h2.index))
+                    if (end1 ^ end2) & 1 == 0:
+                        found = True
+                        if h1 not in seen_self:
+                            seen_self.add(h1)
+                            report.self_osculations.append(
+                                (planes[h1], (Y.edges[e1], Y.edges[e2])))
+                elif h2 in crossing1 and h1 in crossing2:
+                    found = True
+                    key = frozenset((h1, h2))
                     if key not in seen_inter:
                         seen_inter.add(key)
-                        report.inter_osculations.append(((h1, h2), (e1, e2)))
+                        report.inter_osculations.append(
+                            ((planes[h1], planes[h2]),
+                             (Y.edges[e1], Y.edges[e2])))
+        return found
+
+    starts = Y._height_start
+    for j in range(Y.N):
+        if scan(starts[j]):
+            for v in range(starts[j] + 1, starts[j + 1]):
+                scan(v)
     report.inter_osculations.sort(
         key=lambda item: sorted((item[0][0].index, item[0][1].index))
     )
@@ -638,6 +830,8 @@ class Cylinder:
     edges: frozenset          # member edges
     squares: tuple
     stabilizer: frozenset     # elements of Q preserving the cylinder
+    # the positions of the member edges in Y.edges, ascending
+    positions: tuple = field(default=(), repr=False, compare=False)
 
     def __repr__(self):
         return (
@@ -659,42 +853,38 @@ def cylinders(Y):
     simplex, and q stabilizes the component C through e0 exactly when
     e0 + q lies in C."""
     L = Y.presentation.L
-    edges_of = {}    # label -> [(position in Y.edges, edge)]
-    for item in enumerate(Y.edges):
-        edges_of.setdefault(item[1].label, []).append(item)
-    squares_of = {}  # label pair -> [(position in Y.squares, square)]
-    for item in enumerate(Y.squares):
-        squares_of.setdefault(item[1].labels(), []).append(item)
+    N, nQ, nV = Y.N, len(Y._elements), len(Y._label_index)
+    base_edges = {e: b for b, e in enumerate(L.edges())}
+    nB = len(base_edges)
     out = []
     for simplex in sorted(L.simplices, key=lambda s: (len(s), sorted(map(str, s)))):
-        member_edges = [e for _, e in heapq.merge(
-            *(edges_of[u] for u in simplex))]
-        member_squares = [sq for _, sq in heapq.merge(*(
-            squares_of.get(frozenset(pair), ())
-            for pair in itertools.combinations(simplex, 2)))]
-        uf = _UnionFind(member_edges)
-        if len(simplex) == 1:
-            (u,) = tuple(simplex)
-            for e in member_edges:
-                cont = Edge((e.j + 1) % Y.N, u, e.q * Y.tau[u])
-                uf.union(e, cont)
-        for sq in member_squares:
-            uf.union(sq.e1, sq.e2)
-            uf.union(sq.e1, sq.e3)
-            uf.union(sq.e1, sq.e4)
-        comps = {}
-        for e in member_edges:
-            comps.setdefault(uf.find(e), []).append(e)
+        labels = [Y._label_index[u] for u in simplex]
+        member_edges = sorted(p for u in labels for p in _label_positions(Y, u))
+        faces = sorted(base_edges[e] for e in base_edges if e <= simplex)
+        member_squares = [s for j in range(N) for b in faces
+                          for s in range((j * nB + b) * nQ,
+                                         (j * nB + b + 1) * nQ)]
+        parent = list(range(len(Y.edges)))
+        if len(labels) == 1:
+            (u,) = labels
+            shift = Y._tau_shift[u]
+            for p in member_edges:
+                j1 = (p // (nV * nQ) + 1) % N
+                _unite(parent, (p, (j1 * nV + u) * nQ + shift[p % nQ]))
+        for s in member_squares:
+            _unite(parent, Y._sides[s])
         squares_in = {}
-        for sq in member_squares:
-            squares_in.setdefault(uf.find(sq.e1), []).append(sq)
-        for root, members in comps.items():
-            e0 = members[0]
-            back = e0.q.inverse()
-            stab = frozenset(e.q * back for e in members
-                             if e.j == e0.j and e.label == e0.label)
-            cyl = Cylinder(frozenset(simplex), frozenset(members),
-                           tuple(squares_in.get(root, ())), stab)
+        for s in member_squares:
+            squares_in.setdefault(_find(parent, Y._sides[s][0]), []).append(s)
+        for root, members in _classes(parent, member_edges).items():
+            p0 = members[0]
+            block, x0 = divmod(p0, nQ)
+            stab = frozenset(_difference(Y, p % nQ, x0) for p in members
+                             if p // nQ == block)
+            cyl = Cylinder(frozenset(simplex),
+                           frozenset(Y.edges[p] for p in members),
+                           tuple(Y.squares[s] for s in squares_in.get(root, ())),
+                           stab, positions=tuple(members))
             _assert_heights(Y, cyl)
             out.append(cyl)
     return out
@@ -703,8 +893,10 @@ def cylinders(Y):
 def _assert_heights(Y, cyl):
     """Every cylinder contains an edge of every height for each of its
     labels."""
+    nQ, nV = len(Y._elements), len(Y._label_index)
     for u in cyl.label:
-        heights = {e.j for e in cyl.edges if e.label == u}
+        i = Y._label_index[u]
+        heights = {p // (nQ * nV) for p in cyl.positions if p // nQ % nV == i}
         if heights != set(range(Y.N)):
             raise InternalError(
                 f"cylinder over {sorted(map(str, cyl.label))} misses heights "
@@ -720,16 +912,16 @@ def cylinder_classes(Y, label):
 
 
 def _cylinder_classes(Y, label, cyls):
-    edges = [e for e in Y.edges if e.label == label]
-    uf = _UnionFind(edges)
+    nQ, nV = len(Y._elements), len(Y._label_index)
+    u = Y._label_index[label]
+    positions = _label_positions(Y, u)
+    parent = list(range(len(Y.edges)))
     for c in cyls:
-        members = [e for e in c.edges if e.label == label]
-        for e in members[1:]:
-            uf.union(members[0], e)
-    classes = {}
-    for e in edges:
-        classes.setdefault(uf.find(e), set()).add(e)
-    return [frozenset(v) for v in classes.values()]
+        members = [p for p in c.positions if p // nQ % nV == u]
+        if members:
+            _unite(parent, members)
+    return [frozenset(Y.edges[p] for p in members)
+            for members in _classes(parent, positions).values()]
 
 
 def orbit_characterization_holds(Y, label):
@@ -779,16 +971,10 @@ def vertical_shift_permutation(Y, planes, step=None):
     that shift, so the map sends cells to cells."""
     if step is None:
         step = Y.presentation.S.modulus
-    index_of = {}
-    for h in planes:
-        for e in h.edges:
-            index_of[e] = h.index
-    perm = {}
-    for h in planes:
-        e = next(iter(h.edges))
-        shifted = Edge((e.j + step) % Y.N, e.label, e.q)
-        perm[h.index] = index_of[shifted]
-    return perm
+    plane_at = _plane_at(Y, planes)
+    shift = step * len(Y._elements) * len(Y._label_index)
+    return {h.index: plane_at[(h.positions[0] + shift) % len(Y.edges)]
+            for h in planes}
 
 
 def shift_stable_period(pres, quotient, N0):

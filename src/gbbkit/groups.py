@@ -29,8 +29,16 @@ class Permutation:
             raise GroupError(f"not a permutation of 0..{n - 1}: {self.images}")
 
     @classmethod
+    def _unchecked(cls, images):
+        """A permutation from images known to be one: products, inverses
+        and powers of permutations skip the check of the constructor."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
+    @classmethod
     def identity(cls, n):
-        return cls(tuple(range(n)))
+        return cls._unchecked(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, n, *cycles):
@@ -50,13 +58,14 @@ class Permutation:
     def __mul__(self, other):
         if self.size != other.size:
             raise GroupError("permutation size mismatch")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.size)))
+        images = self.images
+        return Permutation._unchecked(tuple(images[i] for i in other.images))
 
     def inverse(self):
         inv = [0] * self.size
         for i, v in enumerate(self.images):
             inv[v] = i
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(tuple(inv))
 
     def __pow__(self, k):
         if k < 0:

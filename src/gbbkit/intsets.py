@@ -37,10 +37,7 @@ class PeriodicSet:
         if n < 1:
             raise SetError("modulus must be >= 1")
         res = frozenset(r % n for r in self.residues)
-        # the least period is the least divisor d of n with res + d = res
-        # (mod n); translation permutes Z/n, so inclusion suffices
-        d = next(d for d in _divisors(n)
-                 if all((r + d) % n in res for r in res))
+        d = _least_period(n, sorted(res))
         object.__setattr__(self, "modulus", d)
         object.__setattr__(self, "residues", frozenset(r % d for r in res))
 
@@ -109,17 +106,28 @@ class PeriodicSet:
         return f"{{{rs}}} mod {self.modulus}"
 
 
-def _divisors(n):
-    """Divisors of n in ascending order, by trial division up to sqrt(n)."""
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    yield from reversed(large)
+def _least_period(n, residues):
+    """The least d > 0 with residues + d = residues (mod n), for the sorted
+    residues of a subset of Z/n.  A translation preserving the set maps its
+    least residue to another residue r_t and so rotates the cyclic
+    sequence of gaps between consecutive residues by t places; the least
+    such t is the least period of that sequence, read off its prefix
+    function, and d is the sum of its first t gaps."""
+    k = len(residues)
+    if k == 0:
+        return 1
+    gaps = [b - a for a, b in zip(residues, residues[1:])]
+    gaps.append(residues[0] + n - residues[-1])
+    prefix = [0] * k
+    for i in range(1, k):
+        m = prefix[i - 1]
+        while m and gaps[i] != gaps[m]:
+            m = prefix[m - 1]
+        prefix[i] = m + (gaps[i] == gaps[m])
+    t = k - prefix[-1]
+    if k % t:
+        t = k
+    return residues[t] - residues[0] if t < k else n
 
 
 @dataclass(frozen=True)

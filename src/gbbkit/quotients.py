@@ -251,14 +251,28 @@ def stabilizer_image(quotient, j):
     homomorphism on the deck generators (rho(g s) = rho(g) rho(s) for all g
     and generators s suffices, as rho(1) = 1).  Returns (rho_j as a dict,
     its image as the subgroup of its values).  For residues j in the
-    exponent set, rho_j is trivial by construction of the certificates."""
+    exponent set, rho_j is trivial by construction of the certificates.
+
+    The loop words are the paths to the base fibre in one breadth-first
+    tree of the total space, so they share prefixes: rho_j is evaluated
+    along that tree, with one product per tree vertex and one power per
+    edge label."""
     cover = quotient.presentation.cover
+    power = {}                               # edge -> theta(e)^j
+    value = [_identity_of(quotient)]         # tree vertex -> its product
+    child = {}                               # (tree vertex, edge) -> vertex
     rho = {}
     for g, word in cover.loop_words.items():
-        if not word:
-            rho[g] = _identity_of(quotient)
-        else:
-            rho[g] = power_product([quotient.theta[e] for e in word], j)
+        node = 0
+        for e in word:
+            nxt = child.get((node, e))
+            if nxt is None:
+                if e not in power:
+                    power[e] = quotient.theta[e] ** j
+                nxt = child[(node, e)] = len(value)
+                value.append(value[node] * power[e])
+            node = nxt
+        rho[g] = value[node]
     for g in rho:
         for s in cover.deck.generators:
             if rho[g] * rho[s] != rho[g * s]:

@@ -318,6 +318,15 @@ def test_wrap_must_be_positive(runner):
         assert "positive multiple" in res.output
 
 
+def test_zero_wrap_is_rejected(runner):
+    """--wrap 0 is an input, not an absent option: both verbs reject it
+    as they reject negative wraps, instead of running at the default."""
+    for verb in ("build-complex", "check-special"):
+        res = run(runner, verb, "--bits", "1000", "--wrap", "0")
+        assert res.exit_code == 2, verb
+        assert "wrap N=0 must be a positive multiple" in res.output, verb
+
+
 def test_internal_key_error_exits_3(runner, monkeypatch):
     """A KeyError raised inside the library is a bug, not an input error."""
     def lost(Y):

@@ -22,6 +22,34 @@ def rand_perm(rng, n):
 # --- permutations ----------------------------------------------------------
 
 
+def test_malformed_images_raise():
+    for images in ((0, 0), (1, 2), (0, 2, 2), (-1, 0), (0, 1, 3)):
+        with pytest.raises(GroupError, match="not a permutation"):
+            Permutation(images)
+    with pytest.raises(GroupError, match="not a permutation"):
+        Permutation.from_cycles(3, (0, 1), (1, 2))
+
+
+def test_unchecked_results_equal_checked_ones():
+    """Products, inverses and powers skip the constructor's check; over
+    S_4 each equals the permutation the checked constructor builds from
+    its images."""
+    group = list(symmetric_group(4))
+    for p in group:
+        for q in group:
+            product = p * q
+            assert product == Permutation(product.images)
+            assert product.images == tuple(p(q(i)) for i in range(4))
+        inverse = p.inverse()
+        assert inverse == Permutation(inverse.images)
+        assert (p * inverse).is_identity()
+        for k in range(-5, 6):
+            power = p ** k
+            assert power == Permutation(power.images)
+            assert hash(power) == hash(Permutation(power.images))
+        assert p ** 0 == Permutation.identity(4) == Permutation((0, 1, 2, 3))
+
+
 def test_composition_is_functional():
     p = Permutation.from_cycles(3, (0, 1))
     q = Permutation.from_cycles(3, (1, 2))

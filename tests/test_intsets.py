@@ -28,6 +28,19 @@ def test_least_period_large_modulus():
     # 720720 has 240 divisors; each is tested in O(|R|)
     s = PeriodicSet(720720, {0, 1})
     assert (s.modulus, s.residues) == (720720, frozenset({0, 1}))
+
+
+def test_least_period_modulus_1e18():
+    # the period is read off the residues' gaps, so the size of the
+    # modulus does not matter (trial division would need 10^9 steps)
+    n = 10 ** 18
+    s = PeriodicSet(n, {0, 3})
+    assert (s.modulus, s.residues) == (n, frozenset({0, 3}))
+    t = PeriodicSet(n, {r + k * n // 10 for r in (0, 3) for k in range(10)})
+    assert (t.modulus, t.residues) == (n // 10, frozenset({0, 3}))
+    u = PeriodicSet(n, {7, 7 + n // 2, -1})
+    assert (u.modulus, u.residues) == (n, frozenset({7, 7 + n // 2, n - 1}))
+    assert PeriodicSet(n, {5, 5 + n // 2}).modulus == n // 2
     s = PeriodicSet(720720, set(range(3, 720720, 6)))
     assert (s.modulus, s.residues) == (6, frozenset({3}))
     cert = GodelSet(frozenset({0, 2}), 7).f_certificate(5)

@@ -24,9 +24,9 @@ from gbbkit.fixtures import (annulus_complex, cycle_complex, rose_graph,
                              rose_wreath_recipe, square_cocycle_quotient,
                              square_complex, square_index16_quotient,
                              square_quotient_bits, triple_cover_quotient)
-from gbbkit.groups import (AbelianGroup, Permutation, PermutationGroup,
-                           TupleElement, WreathElement, power_product,
-                           subgroup_closure)
+from gbbkit.groups import (AbelianElement, AbelianGroup, Permutation,
+                           PermutationGroup, TupleElement, WreathElement,
+                           power_product, subgroup_closure)
 from gbbkit.intsets import PeriodicSet
 from gbbkit.presentation import GbbPresentation, loops_upto
 from gbbkit.quotients import (FiniteQuotient, cocycle_recipe,
@@ -232,6 +232,33 @@ def test_quotient_path_builds_no_subgroup(monkeypatch, wreaths):
     q = verify_bounded(wreath.presentation, wreath.quotient.theta,
                        loop_length_bound=8)
     assert q.certificate.passed
+
+
+def test_stabilizer_image_takes_one_product_per_tree_vertex(monkeypatch):
+    """rho_j is evaluated along the breadth-first tree of the loop words.
+    On the 4-cycle cocycle with p = 101, one call takes at most one power
+    per edge label and one product per total-space vertex and per deck
+    generator check, where one power product per loop word took about
+    p^2 / 2 products.  The rho dict keeps the order of the loop words."""
+    q = cycle_cocycle_quotient(4, 101)
+    cover = q.presentation.cover
+    counts = {"__mul__": 0, "__pow__": 0}
+    for name in counts:
+        def counted(self, other, _original=getattr(AbelianElement, name),
+                    _name=name):
+            counts[_name] += 1
+            return _original(self, other)
+        monkeypatch.setattr(AbelianElement, name, counted)
+    products = (len(cover.total.vertices)
+                + cover.deck.order * len(cover.deck.generators))
+    for j in (1, 2, 50, 100):
+        for name in counts:
+            counts[name] = 0
+        rho, image = stabilizer_image(q, j)
+        assert counts["__pow__"] <= len(q.presentation.L.directed_edges())
+        assert counts["__mul__"] <= products == 505
+        assert list(rho) == list(cover.loop_words)
+        assert (rho, image) == reference_stabilizer_image(q, j)
 
 
 # --- the rotation oracle ----------------------------------------------------------
