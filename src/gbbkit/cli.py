@@ -25,8 +25,8 @@ from math import lcm
 import click
 
 from . import __version__
-from .cubical import (build_quotient, hyperplane_counts, hyperplanes,
-                      shift_stable_period, specialness, vertex_link)
+from .cubical import (build_quotient, hyperplane_counts, shift_stable_period,
+                      specialness, vertex_link)
 from .dehn import CyclicPresentation, Word, is_identity, small_cancellation_check
 from .errors import GbbError, InternalError
 from .fixtures import (fixture_names, load_fixture, square_presentation,
@@ -154,8 +154,8 @@ def _cell_dump(Y):
     return {"vertices": verts, "edges": edges, "squares": squares}
 
 
-def _specialness_verdicts(rep, planes=None):
-    out = {
+def _specialness_verdicts(rep):
+    return {
         "wrap": rep.wrap,
         "hyperplane_counts": {str(k): v for k, v in sorted(rep.counts.items())},
         "special": rep.special,
@@ -163,13 +163,11 @@ def _specialness_verdicts(rep, planes=None):
         "inter_osculating_label_pairs": [list(p) for p in rep.pattern()[2]],
         "non_two_sided": len(rep.non_two_sided),
         "self_intersections": len(rep.self_intersections),
+        "directed_hyperplane_counts": {
+            str(k): v for k, v in
+            sorted(hyperplane_counts(rep.planes, directed=True).items())
+        },
     }
-    if planes is not None:
-        out["directed_hyperplane_counts"] = {
-            str(k): v
-            for k, v in sorted(hyperplane_counts(planes, directed=True).items())
-        }
-    return out
 
 
 def _osculation_witnesses(rep):
@@ -210,7 +208,7 @@ def build_complex_cmd(fixture, bits, quotient_file, wrap, dump_cells, as_json):
     def run():
         pres, q = _resolve_quotient(fixture, bits, quotient_file)
         N = _default_wrap(pres, q) if wrap is None else wrap
-        Y = build_quotient(pres, q, N, validate_links=True)
+        Y = build_quotient(pres, q, N, require_torsion_free=True)
         env = ReportEnvelope(
             "build-complex",
             {"fixture": fixture, "bits": bits, "quotient": quotient_file,
@@ -219,8 +217,10 @@ def build_complex_cmd(fixture, bits, quotient_file, wrap, dump_cells, as_json):
         env.certificate_modes.append(q.mode)
         env.verdicts.update(Y.counts())
         env.verdicts["links_validated"] = True
+        # translation by Q carries the link tag of the first vertex of a
+        # height, the one build_quotient certifies, to the whole height
         env.verdicts["link_types"] = sorted(
-            {vertex_link(Y, v)[1] for v in Y.vertices}
+            {vertex_link(Y, Y.vertices[v])[1] for v in Y._height_start[:-1]}
         )
         if dump_cells:
             env.verdicts["cells"] = _cell_dump(Y)
@@ -251,17 +251,16 @@ def check_special_cmd(fixture, bits, quotient_file, wrap, stabilize, as_json):
              "wrap": N, "stabilize": stabilize},
         )
         env.certificate_modes.append(q.mode)
-        Y = build_quotient(pres, q, N, validate_links=True)
+        Y = build_quotient(pres, q, N, require_torsion_free=True)
         rep = specialness(Y)
-        env.verdicts.update(_specialness_verdicts(rep, hyperplanes(Y)))
+        env.verdicts.update(_specialness_verdicts(rep))
         env.witnesses.extend(_osculation_witnesses(rep))
         special = rep.special
         if stabilize:
-            shift = shift_stable_period(pres, q, N)
+            shift = shift_stable_period(Y, rep)
             env.verdicts["stable_wrap"] = shift.stable_wrap
             env.verdicts["wrap_multiplier"] = shift.multiplier
             env.verdicts["shift_preserves_each_hyperplane"] = shift.preserves_each
-            env.verdicts["special"] = shift.special
             special = shift.special
         elif not special:
             # confirm genuine pathologies at the doubled wrap before reporting

@@ -57,7 +57,8 @@ closed form: the vertices V x {+1, -1} and, for every edge {a, b}, the four
 edges {(a, s), (b, t)}.  The certificate checks that the map is a
 bijection onto those vertices and that the edge sets are equal; a mismatch
 names the link edge.  Heights outside S where rho_j is not injective are
-unchecked.
+unchecked.  They occur exactly when the kernel has torsion, and
+``build_quotient`` refuses such a quotient on request.
 
 The same translation skips most of the osculation scan.  It permutes the
 vertices of a height, carries the link of one onto the link of the other
@@ -82,7 +83,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import CubicalError, InternalError
-from .groups import AbelianGroup
+from .groups import AbelianGroup, subgroup_closure
 from .quotients import FiniteQuotient, stabilizer_image
 
 
@@ -405,13 +406,21 @@ def build_quotient(pres, quotient: FiniteQuotient, N, validate_links=True,
                    require_torsion_free=False):
     """Build the wrapped complex and (by default) certify the link at one
     vertex per height against the expected doubled complexes; a link
-    failure is an internal construction trap, not a data error."""
+    failure is an internal construction trap, not a data error.
+
+    With ``require_torsion_free`` a kernel with torsion is refused, with
+    the witness ``kernel_torsion_free`` names: the least height j outside
+    S where rho_j is not injective, and the first deck element rho_j
+    kills.  N is a multiple of that check's modulus, so the heights of Y
+    cover it."""
     Y = QuotientCubeComplex(pres, quotient, N)
     if require_torsion_free:
-        from .quotients import kernel_torsion_free
-        ok, witness = kernel_torsion_free(quotient)
-        if not ok:
-            raise CubicalError(f"quotient kernel has torsion: {witness}")
+        identity = pres.cover.deck.identity
+        for j in range(N):
+            if j not in pres.S and not _injective(Y, j):
+                g = next(g for g, v in Y.rho[j].items()
+                         if v.is_identity() and g != identity)
+                raise CubicalError(f"quotient kernel has torsion: {(j, g)}")
     if validate_links:
         _validate_all_links(Y)
     return Y
@@ -693,6 +702,8 @@ class SpecialnessReport:
     self_intersections: list = field(default_factory=list)
     self_osculations: list = field(default_factory=list)
     inter_osculations: list = field(default_factory=list)
+    # the hyperplanes the scan computed, indexed as in the witnesses
+    planes: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def special(self):
@@ -746,7 +757,8 @@ def specialness(Y):
       asserted via the height pattern of every square."""
     planes = hyperplanes(Y)
     plane_at = _plane_at(Y, planes)
-    report = SpecialnessReport(wrap=Y.N, counts=hyperplane_counts(planes))
+    report = SpecialnessReport(wrap=Y.N, counts=hyperplane_counts(planes),
+                               planes=planes)
     per_height = len(Y._elements) * len(Y._label_index)
 
     # two-sidedness: a square never has opposite sides with opposite
@@ -931,20 +943,9 @@ def orbit_characterization_holds(Y, label):
     cyls = [c for c in cylinders(Y) if label in c.label]
     for cls in _cylinder_classes(Y, label, cyls):
         e0 = next(iter(cls))
-        through = [c for c in cyls if e0 in c.edges]
-        gen = {Y.Q.identity()}
-        frontier = {Y.Q.identity()}
-        gens = {q for c in through for q in c.stabilizer}
-        while frontier:
-            nxt = set()
-            for a in frontier:
-                for b in gens:
-                    x = a * b
-                    if x not in gen:
-                        gen.add(x)
-                        nxt.add(x)
-            frontier = nxt
-        orbit = {Y.translate_edge(e0, q) for q in gen}
+        gens = {q for c in cyls if e0 in c.edges for q in c.stabilizer}
+        generated = subgroup_closure(gens, identity=Y.Q.identity()).elements
+        orbit = {Y.translate_edge(e0, q) for q in generated}
         same_height = {e for e in cls if e.j == e0.j}
         if orbit != same_height:
             return False
@@ -965,43 +966,40 @@ class ShiftReport:
     special: bool
 
 
-def vertical_shift_permutation(Y, planes, step=None):
-    """The permutation induced on hyperplanes by the height shift
-    j -> j + step (default: the period of S); theta is invariant under
-    that shift, so the map sends cells to cells."""
-    if step is None:
-        step = Y.presentation.S.modulus
+def vertical_shift_permutation(Y, planes):
+    """The permutation induced on hyperplanes by the height shift by the
+    period of S; theta is invariant under that shift, so the map sends
+    cells to cells."""
     plane_at = _plane_at(Y, planes)
-    shift = step * len(Y._elements) * len(Y._label_index)
+    shift = (Y.presentation.S.modulus * len(Y._elements)
+             * len(Y._label_index))
     return {h.index: plane_at[(h.positions[0] + shift) % len(Y.edges)]
             for h in planes}
 
 
-def shift_stable_period(pres, quotient, N0):
-    """Build the wrapped complex at N0, 2*N0, 4*N0, ... until the
-    specialness pattern (per-label hyperplane counts, self-osculating
-    labels, inter-osculating label pairs) stabilizes between consecutive
-    wraps, building at most four complexes (links are not revalidated);
-    report the stable wrap, the vertical-shift permutation of hyperplanes
-    there, and whether the shift preserves each hyperplane."""
-    prev = None
-    N = N0
-    for _ in range(4):
-        Y = build_quotient(pres, quotient, N, validate_links=False)
-        rep = specialness(Y)
-        pat = rep.pattern()
-        if prev is not None and pat == prev[1]:
-            stable_Y, stable_rep = prev[0], prev[2]
-            planes = hyperplanes(stable_Y)
-            perm = vertical_shift_permutation(stable_Y, planes)
+def shift_stable_period(Y, report):
+    """Starting from the wrapped complex Y at wrap N0 and its specialness
+    report, build the complex at 2*N0, 4*N0 and 8*N0, as far as needed,
+    until the specialness pattern (per-label hyperplane counts,
+    self-osculating labels, inter-osculating label pairs) stabilizes
+    between consecutive wraps (links are not revalidated); report the
+    stable wrap, the vertical-shift permutation of hyperplanes there, and
+    whether the shift preserves each hyperplane."""
+    N0, pattern = Y.N, report.pattern()
+    for N in (2 * N0, 4 * N0, 8 * N0):
+        Y2 = build_quotient(Y.presentation, Y.quotient, N,
+                            validate_links=False)
+        report2 = specialness(Y2)
+        pattern2 = report2.pattern()
+        if pattern2 == pattern:
+            perm = vertical_shift_permutation(Y, report.planes)
             return ShiftReport(
-                stable_wrap=stable_Y.N,
-                multiplier=stable_Y.N // N0,
-                pattern=prev[1],
+                stable_wrap=Y.N,
+                multiplier=Y.N // N0,
+                pattern=pattern,
                 shift_permutation=perm,
                 preserves_each=all(k == v for k, v in perm.items()),
-                special=stable_rep.special,
+                special=report.special,
             )
-        prev = (Y, pat, rep)
-        N *= 2
+        Y, report, pattern = Y2, report2, pattern2
     raise CubicalError(f"pattern did not stabilize within 4 doublings from {N0}")

@@ -158,9 +158,6 @@ class AbelianElement:
     def __pow__(self, k):
         return AbelianElement(self.factors, tuple(k * c for c in self.coords))
 
-    def scale(self, k):
-        return self ** k
-
     def is_identity(self):
         return all(c == 0 for c in self.coords)
 

@@ -119,12 +119,15 @@ def _cycle_basis(pres):
     return basis
 
 
-def _label_kernel_generators(labels, bound=2 * 10 ** 6):
+def _label_kernel_generators(labels):
     """Generators of the lattice {x in Z^k : prod labels[i]^{x_i} = 1}.
 
-    The lattice contains ord(label_i) * e_i for each i, so it is generated
-    by those together with the finitely many mixed tuples found by
-    enumerating the box of residues.  Requires the labels to commute."""
+    For commuting labels, x -> prod labels[i]^{x_i} is a homomorphism from
+    Z^k onto the group H the labels generate, and the lattice is its
+    kernel.  One breadth-first walk over H names each element h by the
+    vector w(h) of the walk's path to it; by Schreier's lemma the nonzero
+    vectors w(h) + e_i - w(h * labels[i]) generate the kernel.  Requires
+    the labels to commute."""
     k = len(labels)
     if k == 0:
         return []
@@ -133,27 +136,21 @@ def _label_kernel_generators(labels, bound=2 * 10 ** 6):
             raise QuotientError(
                 "exact verification needs commuting deck monodromy labels"
             )
-    orders = [g.order() for g in labels]
-    total = 1
-    for o in orders:
-        total *= o
-    if total > bound:
-        raise QuotientError(
-            f"label kernel enumeration too large ({total} > {bound})"
-        )
+    word = {labels[0].identity_like(): (0,) * k}
+    walk = list(word)
     gens = []
-    for i, o in enumerate(orders):
-        vec = [0] * k
-        vec[i] = o
-        gens.append(tuple(vec))
-    for combo in itertools.product(*(range(o) for o in orders)):
-        if all(c == 0 for c in combo):
-            continue
-        prod = labels[0].identity_like()
-        for g, c in zip(labels, combo):
-            prod = prod * (g ** c)
-        if prod.is_identity():
-            gens.append(combo)
+    for h in walk:
+        w = word[h]
+        for i, g in enumerate(labels):
+            step = w[:i] + (w[i] + 1,) + w[i + 1:]
+            x = h * g
+            if x not in word:
+                word[x] = step
+                walk.append(x)
+            else:
+                vec = tuple(a - b for a, b in zip(step, word[x]))
+                if any(vec):
+                    gens.append(vec)
     return gens
 
 
@@ -324,11 +321,10 @@ def loop_r_set(quotient, loop):
     return rs
 
 
-def star_abelian_check(quotient, L=None):
+def star_abelian_check(quotient):
     """For every adjacent pair u,v: the theta images of the directed edges
     of St(u) u St(v) must pairwise commute.  Returns (bool, witness)."""
-    if L is None:
-        L = quotient.presentation.L
+    L = quotient.presentation.L
     for e in L.edges():
         u, v = sorted(e, key=L.vertex_position)
         sub, _ = star_union(L, u, v)
@@ -476,8 +472,10 @@ def hw_product_quotient(quotient, m=None):
     the level-zero kernel: the new coordinate sends the edge (x, y) to
     e_y - e_x written in the sum-zero submodule of the free Z/m-module on
     the base vertices (basis e_v - e_v0).  Loops map to zero there, so
-    every relator still dies; for abelian inputs the result is re-verified
-    exactly."""
+    every relator still dies, and the result is re-verified exactly.  The
+    quotient must be abelian."""
+    if not isinstance(quotient.target, AbelianGroup):
+        raise QuotientError("the product recipe needs an abelian quotient")
     pres = quotient.presentation
     L = pres.L
     if m is None:
@@ -485,7 +483,6 @@ def hw_product_quotient(quotient, m=None):
     if m < 1:
         raise QuotientError("m must be >= 1")
     verts = list(L.vertices)
-    v0 = verts[0]
     idx = {v: i - 1 for i, v in enumerate(verts)}  # v0 -> -1 (zero vector)
     dim = len(verts) - 1
 
@@ -497,24 +494,10 @@ def hw_product_quotient(quotient, m=None):
             c[idx[a]] -= 1
         return tuple(x % m for x in c)
 
-    if isinstance(quotient.target, AbelianGroup):
-        target = AbelianGroup(quotient.target.factors + (m,) * dim)
-        theta = {}
-        for (a, b) in L.directed_edges():
-            theta[(a, b)] = target.element(
-                quotient.theta[(a, b)].coords + phi_coords(a, b)
-            )
-        return verify_abelian_exact(pres, target, theta)
-    # generic targets: pair componentwise, keep the bounded certificate mode
-    hcoord = AbelianGroup((m,) * dim)
+    target = AbelianGroup(quotient.target.factors + (m,) * dim)
     theta = {}
     for (a, b) in L.directed_edges():
-        theta[(a, b)] = TupleElement(
-            (quotient.theta[(a, b)], hcoord.element(phi_coords(a, b)))
+        theta[(a, b)] = target.element(
+            quotient.theta[(a, b)].coords + phi_coords(a, b)
         )
-    out = verify_bounded(
-        pres, theta,
-        loop_length_bound=getattr(quotient.certificate, "loop_length_bound", 12),
-    )
-    out.target = ("product", quotient.target, ("abelian", hcoord.factors))
-    return out
+    return verify_abelian_exact(pres, target, theta)

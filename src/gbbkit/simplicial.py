@@ -104,10 +104,6 @@ class SimplicialComplex:
         """The vertices adjacent to v, in vertex order."""
         return list(self._neighbors[v])
 
-    def star_maximal(self, v):
-        """Maximal simplices containing v (their faces form the closed star)."""
-        return [s for s in self.maximal_simplices if v in s]
-
     def components(self):
         """The vertex sets of the connected components, ordered by their
         first vertex."""
@@ -163,9 +159,6 @@ class SimplicialMap:
 
     def __call__(self, v):
         return self.vertex_map[v]
-
-    def image_of(self, simplex):
-        return frozenset(self.vertex_map[v] for v in simplex)
 
     def compose(self, other):
         """self after other (other: A -> B, self: B -> C)."""

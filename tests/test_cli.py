@@ -151,6 +151,59 @@ def test_check_special_stabilize(runner):
     assert env["verdicts"]["stable_wrap"] == 2
 
 
+@pytest.mark.parametrize("verb", ["build-complex", "check-special"])
+@pytest.mark.parametrize("bits", ["1100", "1111"])
+def test_torsion_kernel_is_refused(runner, verb, bits):
+    """An even bit pattern has a kernel with torsion, where rho_1 is not
+    injective and the link at height 1 has no certificate: both verbs
+    refuse it as input with the torsion witness instead of a verdict."""
+    res = run(runner, verb, "--bits", bits, "--json")
+    assert res.exit_code == 2
+    assert "quotient kernel has torsion: (1, Perm(0 1))" in res.output
+
+
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (owner, name) target, through the owner and
+    through every gbbkit module that bound the same function by name."""
+    counts = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        original = vars(owner)[name]
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "gbbkit":
+                continue
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("args, want", [
+    # the wrap tower starts from the complex check-special built
+    (["check-special", "--bits", "1110", "--stabilize"],
+     {"__init__": 2, "specialness": 2, "hyperplanes": 2}),
+    # the directed counts come from the hyperplanes of the scan
+    (["check-special", "--fixture", "s9-index16", "--wrap", "8"],
+     {"hyperplanes": 1}),
+    # link tags at the first vertex of each height, one model each
+    (["build-complex", "--fixture", "s9-index16", "--wrap", "8"],
+     {"vertex_link": 8, "_model_ids": 10}),
+])
+def test_each_fact_is_computed_once(runner, monkeypatch, args, want):
+    counts = count_calls(monkeypatch, [
+        (cubical.QuotientCubeComplex, "__init__"),
+        (cubical, "specialness"), (cubical, "hyperplanes"),
+        (cubical, "vertex_link"), (cubical, "_model_ids")])
+    res = run(runner, *args)
+    assert res.exit_code in (0, 1), res.output
+    assert {name: counts[name] for name in want} == want
+
+
 # --- verify-quotient ----------------------------------------------------------------
 
 

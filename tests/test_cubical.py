@@ -15,6 +15,7 @@ from gbbkit.fixtures import (single_edge_trivial, square_index16_quotient,
                              square_presentation, square_quotient_bits,
                              triple_cover_presentation, triple_cover_quotient)
 from gbbkit.groups import subgroup_closure
+from gbbkit.quotients import kernel_torsion_free
 
 
 def counts_by_label(rep):
@@ -55,6 +56,24 @@ def test_torsion_free_guard():
     q_bad = square_quotient_bits((1, 1, 0, 0))
     with pytest.raises(CubicalError):
         build_quotient(pres, q_bad, 2, require_torsion_free=True)
+
+
+def test_torsion_guard_names_the_kernel_torsion_witness():
+    """The guard reads its witness off the rho_j of the built complex; it
+    names the one kernel_torsion_free names, at wraps 2 and 4."""
+    pres = square_presentation()
+    for bits in itertools.product((0, 1), repeat=4):
+        if not any(bits):
+            continue
+        q = square_quotient_bits(bits)
+        tf, witness = kernel_torsion_free(q)
+        for N in (2, 4):
+            if tf:
+                build_quotient(pres, q, N, require_torsion_free=True)
+                continue
+            with pytest.raises(CubicalError) as err:
+                build_quotient(pres, q, N, require_torsion_free=True)
+            assert str(err.value) == f"quotient kernel has torsion: {witness}"
 
 
 # --- hyperplanes --------------------------------------------------------------
@@ -180,8 +199,8 @@ def test_cylinders_have_stabilizers_and_squares():
 
 
 def test_shift_stable_period_index2():
-    pres = square_presentation()
-    rep = shift_stable_period(pres, square_quotient_bits((1, 0, 0, 0)), 2)
+    Y = build_quotient(square_presentation(), square_quotient_bits((1, 0, 0, 0)), 2)
+    rep = shift_stable_period(Y, specialness(Y))
     assert rep.stable_wrap == 2 and rep.multiplier == 1
     assert rep.preserves_each
     assert not rep.special

@@ -9,9 +9,14 @@ rotation with the least repr.  The library now reads the period off the
 orders of the theta images, checks rho_j on the deck generators only,
 takes the image to be the set of values, and ranks edges by repr once per
 call.  Verdicts, witnesses, every rho_j over the old modulus, its image
-and every loop list must agree."""
+and every loop list must agree.  The label kernel of the exact
+certificate was enumerated over the box of residues; the library now
+takes the Schreier generators of one breadth-first walk, which must span
+the same lattice."""
 
 import functools
+import itertools
+import math
 import sys
 from math import lcm
 
@@ -29,10 +34,11 @@ from gbbkit.groups import (AbelianElement, AbelianGroup, Permutation,
                            power_product, subgroup_closure)
 from gbbkit.intsets import PeriodicSet
 from gbbkit.presentation import GbbPresentation, loops_upto
-from gbbkit.quotients import (FiniteQuotient, cocycle_recipe,
+from gbbkit.quotients import (FiniteQuotient, _cycle_basis,
+                              _label_kernel_generators, cocycle_recipe,
                               hw_product_quotient, kernel_torsion_free,
                               stabilizer_image, verify_bounded)
-from gbbkit.simplicial import subdivide_graph_edges
+from gbbkit.simplicial import build_complex, subdivide_graph_edges
 
 # --- the closure oracles -------------------------------------------------------
 
@@ -259,6 +265,111 @@ def test_stabilizer_image_takes_one_product_per_tree_vertex(monkeypatch):
         assert counts["__mul__"] <= products == 505
         assert list(rho) == list(cover.loop_words)
         assert (rho, image) == reference_stabilizer_image(q, j)
+
+
+# --- the box oracle for the label kernel ------------------------------------------
+
+
+def reference_label_kernel_generators(labels):
+    """ord(label_i) e_i for each i, and every nonzero residue tuple in the
+    box prod [0, ord(label_i)) whose product is trivial; the box is capped
+    at 2 * 10^6 points."""
+    orders = [g.order() for g in labels]
+    total = math.prod(orders)
+    if total > 2 * 10 ** 6:
+        raise QuotientError(
+            f"label kernel enumeration too large ({total} > 2000000)"
+        )
+    gens = []
+    for i, o in enumerate(orders):
+        vec = [0] * len(labels)
+        vec[i] = o
+        gens.append(tuple(vec))
+    for combo in itertools.product(*(range(o) for o in orders)):
+        if not any(combo):
+            continue
+        prod = labels[0].identity_like()
+        for g, c in zip(labels, combo):
+            prod = prod * (g ** c)
+        if prod.is_identity():
+            gens.append(combo)
+    return gens
+
+
+def hermite_basis(vectors, k):
+    """The Hermite normal form of the full-rank lattice that the integer
+    ``vectors`` span in Z^k: row i starts with its positive pivot in
+    column i, and the entries above each pivot lie in [0, pivot)."""
+    rows = [list(v) for v in vectors]
+    basis = []
+    for col in range(k):
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot, rest = live[0], live[1:]
+            live = [pivot]
+            for r in rest:
+                r = [a - r[col] // pivot[col] * b for a, b in zip(r, pivot)]
+                (live if r[col] else rows).append(r)
+        (pivot,) = live
+        if pivot[col] < 0:
+            pivot = [-a for a in pivot]
+        basis = [[a - r[col] // pivot[col] * b for a, b in zip(r, pivot)]
+                 for r in basis]
+        basis.append(pivot)
+    return tuple(map(tuple, basis))
+
+
+def test_label_kernel_matches_the_box(wreaths):
+    """The same generator list as the box for a single label (every
+    quotient of the family above has first Betti number 1), and the same
+    lattice for several labels."""
+    singles = [q.certificate.basis_labels for q in abelian_quotients()]
+    assert {len(labels) for labels in singles} == {1}
+    for labels in singles:
+        assert (_label_kernel_generators(labels)
+                == reference_label_kernel_generators(labels))
+    several = [[res.presentation.cover.lift_word(loop)
+                for loop in _cycle_basis(res.presentation)]
+               for res in wreaths.values()]
+    assert {len(labels) for labels in several} == {2}
+    several += itertools.product(AbelianGroup((2, 4)).elements(), repeat=2)
+    several += itertools.product(AbelianGroup((6,)).elements(), repeat=3)
+    for labels in several:
+        labels = list(labels)
+        assert (hermite_basis(_label_kernel_generators(labels), len(labels))
+                == hermite_basis(reference_label_kernel_generators(labels),
+                                 len(labels)))
+
+
+def test_label_kernel_past_the_box():
+    """K_{3,4} (first Betti number 6) with the edge (a_i, b_j) labelled
+    g^(i j), g a 13-cycle, and S = 13Z: all six cycle-basis labels have
+    order 13, so the box has 13^6 points, past its cap.  The labels
+    generate a group of order 13, so the label kernel is the lattice of
+    index 13 that the Schreier generators must span."""
+    a = [f"a{i}" for i in range(1, 4)]
+    b = [f"b{j}" for j in range(1, 5)]
+    L = build_complex(a + b, [{x, y} for x in a for y in b])
+    g = Permutation.from_cycles(13, tuple(range(13)))
+    cover = build_cover(L, PermutationGroup(13, [g]),
+                        {(f"a{i}", f"b{j}"): g ** (i * j)
+                         for i in range(1, 4) for j in range(1, 5)}, "a1")
+    q = cocycle_recipe(GbbPresentation(L, cover, PeriodicSet.multiples(13)))
+    cert = q.certificate
+    labels = cert.basis_labels
+    assert len(labels) == 6 and all(h.order() == 13 for h in labels)
+    with pytest.raises(QuotientError, match=r"\(4826809 > 2000000\)"):
+        reference_label_kernel_generators(labels)
+    for vec in cert.kernel_generators:
+        prod = labels[0].identity_like()
+        for h, c in zip(labels, vec):
+            prod = prod * h ** c
+        assert prod.is_identity()
+    basis = hermite_basis(cert.kernel_generators, 6)
+    assert math.prod(basis[i][i] for i in range(6)) == 13
+    assert cert.passed and kernel_torsion_free(q) == (True, None)
 
 
 # --- the rotation oracle ----------------------------------------------------------

@@ -170,6 +170,12 @@ def test_cocycle_recipe_preconditions():
         cocycle_recipe(pres)
 
 
+def test_hw_product_needs_an_abelian_quotient():
+    q = rose_wreath_recipe(r=4, n=2, loop_length_bound=4).quotient
+    with pytest.raises(QuotientError, match="needs an abelian quotient"):
+        hw_product_quotient(q)
+
+
 def test_hw_product_preserves_certificates():
     for q0 in (cocycle_recipe(square_presentation()), triple_cover_quotient()):
         q = hw_product_quotient(q0)
