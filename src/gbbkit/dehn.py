@@ -11,7 +11,9 @@ cannot decide membership for an exponent it needs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import chain, groupby, repeat
 
 from .errors import DehnError, InternalError, WindowError
@@ -111,15 +113,6 @@ class CyclicPresentation:
 # small cancellation
 
 
-def _common_prefix_len(a, b):
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 @dataclass
 class SmallCancellationReport:
     m: int
@@ -141,41 +134,44 @@ def small_cancellation_check(pres, m, exponent_window):
     two distinct relator occurrences, over all cyclic rotations and
     inverses) must be shorter than 1/m of every relator containing it.
 
-    The occurrences are sorted once.  In a sorted list the common prefix
-    of two entries is the least common prefix of the adjacent pairs
-    between them, so each occurrence shares its longest piece with one of
-    its two sorted neighbours (Kasai et al., CPM 2001).  The adjacent
-    pairs therefore give the same maximum piece per relator as all pairs,
-    in O(K log K) comparisons for K occurrences instead of O(K^2).
+    The pieces of the block relators have a closed form, so no relator
+    word is built; only membership in T is asked, once per exponent.  The
+    longest piece of R_n is the largest of
+      * |n| - 1: two rotations of R_n itself, one letter apart;
+      * 2 min(|n|, |m|) for a same-sign m != n in the window: a partial
+        block and a whole block of R_n and R_m agree, so only the nearest
+        same-sign members matter;
+      * min(|n|, |m|) for an opposite-sign m: one block of R_n against the
+        inverse of R_m, whose generators descend.
 
     Reports the worst per-relator ratio; the raw maximum piece length is
     included for reference.  The verdict only covers relators inside the
     exponent window."""
     if exponent_window < 1:
         raise DehnError("empty relator window")
-    rels = pres.relators_in_window(exponent_window)
-    if not rels:
+    exponents = [n for n in range(-exponent_window, exponent_window + 1)
+                 if n and pres.contains_exponent(n)]
+    if not exponents:
         raise DehnError("no relators in the window")
-    # occurrences: (rotation of R_n or its inverse, n)
-    occurrences = sorted(
-        (base[i:] + base[:i], n)
-        for n, rel in rels
-        for base in (rel, invert_word(rel))
-        for i in range(len(base))
-    )
-    best_piece = {n: 0 for n, _ in rels}
-    for (wa, na), (wb, nb) in zip(occurrences, occurrences[1:]):
-        p = _common_prefix_len(wa, wb)
-        best_piece[na] = max(best_piece[na], p)
-        best_piece[nb] = max(best_piece[nb], p)
-    ratios = {
-        n: best_piece[n] / (abs(n) * pres.l) for n, _ in rels
-    }
+    # magnitudes of the members of each sign, ascending
+    positive = [n for n in exponents if n > 0]
+    negative = [-n for n in reversed(exponents) if n < 0]
+    best_piece = {}
+    for sign, same, other in ((1, positive, negative),
+                              (-1, negative, positive)):
+        widest = other[-1] if other else 0
+        for i, a in enumerate(same):
+            if i + 1 < len(same):
+                partner = a                 # a longer same-sign member
+            else:
+                partner = same[i - 1] if i else 0
+            best_piece[sign * a] = max(a - 1, 2 * partner, min(a, widest))
+    ratios = {n: best_piece[n] / (abs(n) * pres.l) for n in exponents}
     max_ratio = max(ratios.values())
     return SmallCancellationReport(
         m=m,
         window=exponent_window,
-        relator_count=len(rels),
+        relator_count=len(exponents),
         max_piece_length=max(best_piece.values()),
         per_relator_ratio=ratios,
         max_ratio=max_ratio,
@@ -200,23 +196,45 @@ def small_cancellation_check(pres, m, exponent_window):
 # starting run p.  Hence n = count(p+1), and the signs and generators of
 # runs p and p+1 fix the family.  For l = 3 two partial blocks alone can
 # cover more than half, so there n ranges over 1..count(p)+count(p+1).
-# Each run keeps the key (t, -n, -family) of its best match.  The first
-# maximal key picks the longest match, then the smallest n, then the
-# family order R_n, R_n^-1, R_-n, R_-n^-1, then the leftmost run.
+# Each run keeps the key (-t, n, family) of its best match.  The least
+# key picks the longest match, then the smallest n, then the family order
+# R_n, R_n^-1, R_-n, R_-n^-1; among equal keys the leftmost run goes
+# first.
+#
+# Initial keys.  For l >= 4 one right-to-left pass finds every key: with
+# link[q] the generator step from run q-1 to run q (0 across a sign change
+# or a non-adjacent generator) and chains[q] the number of runs q, q+1, ...
+# of equal count joined by that same step, the match from run p is its
+# partial block, chains[p+1] whole blocks of n = count(p+1), and a partial
+# block of the run after the chain when it continues the step.
+#
+# Selection.  Each run also has an integer label; labels increase left to
+# right, so bisecting them finds a run's position.  A heap holds entries
+# (-t, n, family, label), whose minimum is the next step.  An entry is
+# live while its label exists and its run's key still equals it; stale
+# entries are dropped when popped.  New runs get labels spread evenly
+# between their neighbours'; when the gap is too narrow all runs are
+# relabelled and the heap is rebuilt from the keys.
 #
 # Recompute radius.  The match from run p reads at most runs p..p+l: each
 # run after p adds n letters until t reaches l*n.  A splice replaces a
 # stretch of runs, freely reduced and merged at its seams, so only the
-# keys of the l runs before the stretch and of the stretch itself change.
-# T is asked about an exponent only when the maximal key needs it; the
-# answer is cached per call, and a non-member drops out of every key.
-# With this local bookkeeping a step costs O(l*n) Python work near the
-# splice, plus C-level list moves and one max over the keys (Domanski and
-# Anshel, J. Algorithms 6, 1985).
+# keys of the l runs before the stretch and of the stretch itself change;
+# they are recomputed and pushed.
+#
+# Lazy exclusion.  T is asked about an exponent only when the heap's top
+# key needs it; the answer is cached per call.  A non-member only removes
+# candidates, so keys with other exponents stand.  A key whose exponent
+# has been excluded is recomputed when it reaches the top of the heap,
+# pushed back, and the heap is popped again.  With this local bookkeeping
+# a step costs O(l*n) Python work near the splice, O(l log runs) heap
+# work, and C-level list moves (Domanski and Anshel, J. Algorithms 6,
+# 1985).
 
 # (letter sign, generator step) in family order: R_n, R_n^-1, R_-n, R_-n^-1
 _FAMILIES = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 _NO_MATCH = (0, 0, 0)
+_LABEL_GAP = 1 << 32            # label spacing after a (re)labelling
 
 
 def _runs(word):
@@ -251,7 +269,7 @@ def _match_length(letters, counts, p, l, n, s, step):
 
 
 def _run_key(letters, counts, p, l, excluded):
-    """Key (t, -n, -family) of the best more-than-half match that starts
+    """Key (-t, n, family) of the best more-than-half match that starts
     in run p and whose exponent is not in ``excluded``, or _NO_MATCH."""
     if p + 1 >= len(letters):
         return _NO_MATCH
@@ -276,9 +294,55 @@ def _run_key(letters, counts, p, l, excluded):
         if s * step * n in excluded:
             continue
         t = _match_length(letters, counts, p, l, n, s, step)
-        if 2 * t > l * n and (t, -n) > best[:2]:
-            best = (t, -n, -family)
+        if 2 * t > l * n and (-t, n) < best[:2]:
+            best = (-t, n, family)
     return best
+
+
+def _initial_keys(letters, counts, l):
+    """The keys _run_key gives every run with nothing excluded, for
+    l >= 4, in one right-to-left pass over link and chains."""
+    size = len(letters)
+    keys = [_NO_MATCH] * size
+    link = [0] * (size + 1)     # link[size] = 0 ends every chain
+    chains = [0] * (size + 1)
+    for q in range(size - 1, 0, -1):
+        x, y = letters[q - 1], letters[q]
+        if (x > 0) != (y > 0):
+            continue
+        gap = (abs(y) - abs(x)) % l
+        if gap == 1:
+            step = 1
+        elif gap == l - 1:
+            step = -1
+        else:
+            continue
+        link[q] = step
+        n = counts[q]
+        k = chains[q] = (chains[q + 1] + 1 if link[q + 1] == step
+                         and counts[q + 1] == n else 1)
+        # run q-1: its partial block, k whole blocks, then a partial one
+        t = min(counts[q - 1], n) + k * n
+        if link[q + k] == step:
+            t += min(counts[q + k], n)
+        L = l * n
+        t = min(t, L)
+        if 2 * t > L:
+            s = 1 if x > 0 else -1
+            keys[q - 1] = (-t, n, _FAMILIES.index((s, step)))
+    return keys
+
+
+def _labels(size):
+    return list(range(_LABEL_GAP, (size + 1) * _LABEL_GAP, _LABEL_GAP))
+
+
+def _heap(keys, labels):
+    """A heap of (-t, n, family, label) over the runs with a match."""
+    heap = [key + (label,)
+            for key, label in zip(keys, labels) if key != _NO_MATCH]
+    heapify(heap)
+    return heap
 
 
 def _family_rotation(l, n, s, step, c0, g):
@@ -367,23 +431,30 @@ def dehn_reduce(pres, word, trace=None):
     letters, counts = _runs(current)
     excluded = set()            # exponents found not to be in T
     members = set()             # exponents found to be in T
-    keys = [_run_key(letters, counts, p, l, excluded)
-            for p in range(len(letters))]
-    while True:
-        best = max(keys, default=_NO_MATCH)
-        if best == _NO_MATCH:
-            return Word(_letters(letters, counts))
-        t, n, family = best[0], -best[1], -best[2]
+    if l > 3:
+        keys = _initial_keys(letters, counts, l)
+    else:
+        keys = [_run_key(letters, counts, p, l, excluded)
+                for p in range(len(letters))]
+    labels = _labels(len(keys))
+    heap = _heap(keys, labels)
+    while heap:
+        neg_t, n, family, label = heappop(heap)
+        p = bisect_left(labels, label)
+        if p == len(labels) or labels[p] != label or \
+                keys[p] != (neg_t, n, family):
+            continue            # stale entry
+        t = -neg_t
         s, step = _FAMILIES[family]
         exponent = s * step * n
         if exponent not in members:
-            if not pres.contains_exponent(exponent):
+            if exponent in excluded or not pres.contains_exponent(exponent):
                 excluded.add(exponent)
-                keys = [_run_key(letters, counts, p, l, excluded)
-                        for p in range(len(letters))]
+                keys[p] = key = _run_key(letters, counts, p, l, excluded)
+                if key != _NO_MATCH:
+                    heappush(heap, key + (label,))
                 continue
             members.add(exponent)
-        p = keys.index(best)
         c0 = min(counts[p], n)
         rot = _family_rotation(l, n, s, step, c0, abs(letters[p]))
         if 2 * t <= len(rot):
@@ -398,9 +469,24 @@ def dehn_reduce(pres, word, trace=None):
             new = _letters(letters[lo:lo + size], counts[lo:lo + size])
             tail = len(current) - sum(counts[lo + size:])
             current = current[:sum(counts[:lo])] + new + current[tail:]
+        # new runs get labels spread between their neighbours' labels
+        left = labels[lo - 1] if lo else 0
+        right = labels[hi] if hi < len(labels) else \
+            left + (size + 1) * _LABEL_GAP
+        labels[lo:hi] = [left + (right - left) * j // (size + 1)
+                         for j in range(1, size + 1)]
         keys[lo:hi] = [_NO_MATCH] * size
         for r in range(max(0, lo - l), lo + size):
-            keys[r] = _run_key(letters, counts, r, l, excluded)
+            key = _run_key(letters, counts, r, l, excluded)
+            if key != keys[r]:
+                keys[r] = key
+                if key != _NO_MATCH:
+                    heappush(heap, key + (labels[r],))
+        if right - left <= size:
+            # no room between the neighbours: relabel every run
+            labels = _labels(len(keys))
+            heap = _heap(keys, labels)
+    return Word(_letters(letters, counts))
 
 
 def is_identity(pres, word):

@@ -293,6 +293,17 @@ def test_dehn_with_ratio_check(runner):
     assert "window-certified" in env["certificate_modes"]
 
 
+def test_dehn_ratio_check_on_a_wide_window(runner):
+    # the pieces have a closed form, so a window of 400 exponents builds
+    # no relator words
+    res = run(runner, "dehn", "--word", "a1 -a1", "--window", "400",
+              "--check-ratio", "6", "--json")
+    assert res.exit_code == 0
+    env = envelope(res)
+    assert env["verdicts"]["satisfies_C'(1/6)"] is True
+    assert env["verdicts"]["max_piece_ratio"] == 2 / 13
+
+
 def test_dehn_without_small_cancellation_is_undecided(runner):
     # l = 7 has pieces a_i^2 a_{i+1}^2 of ratio 2/7 > 1/6 between R_2 and R_4
     for extra in ([], ["--check-ratio", "6"]):

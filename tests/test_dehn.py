@@ -188,3 +188,61 @@ def test_splice_mismatch_raises_internal_error(monkeypatch):
     pres = dehn_presentation_periodic(l=13)
     with pytest.raises(InternalError, match=r"letter 1 of length 26"):
         dehn_reduce(pres, (5,) + pres.relator(2))
+
+
+# --- work counts ------------------------------------------------------------------
+
+
+class StepCount:
+    """A ``trace`` that counts the steps without keeping the words."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def append(self, _step):
+        self.steps += 1
+
+
+def linked_pairs(rng, l, pairs):
+    """Pairs a_g a_{g+1} (or their inverses), no two pairs linked: every
+    other run steps from its neighbour, but no more-than-half match
+    continues the step."""
+    out = []
+    while len(out) < 2 * pairs:
+        g, s = rng.randrange(1, l + 1), rng.choice((1, -1))
+        if out and abs(out[-1]) in (g, (g - 2) % l + 1):
+            continue
+        out += [s * g, s * (g % l + 1)]
+    return tuple(out)
+
+
+def test_reduction_work_is_local_to_the_steps(monkeypatch):
+    # a 35,000-letter identity word of 2Z relators conjugated by 60 letters
+    # of linked pairs: about 27,000 runs, half of them linked, and 202
+    # steps; evaluating every run's key would call _match_length once per
+    # linked run
+    l = 13
+    pres = dehn_presentation_periodic(l=l)
+    rng = random.Random(5)
+    word = ()
+    while len(word) < 35000:
+        u = linked_pairs(rng, l, 30)
+        word += conjugate(pres.relator(rng.choice((-6, -4, -2, 2, 4, 6))), u)
+    calls = 0
+    real = dehn._match_length
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(dehn, "_match_length", counted)
+    asked = []
+    monkeypatch.setattr(pres, "contains_exponent",
+                        lambda n, real=pres.contains_exponent:
+                        asked.append(n) or real(n))
+    steps = StepCount()
+    assert len(dehn_reduce(pres, word, trace=steps)) == 0
+    assert len(dehn._runs(free_reduce(word))[0]) > 25000
+    assert calls <= steps.steps * (2 * l + 4)
+    assert sorted(asked) == sorted(set(asked))

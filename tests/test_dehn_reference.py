@@ -5,13 +5,16 @@ The reference oracles kept here are the earlier implementations:
 * the reducer that rescanned the whole run encoding on every step, twice
   per candidate block length n, and asked T about every candidate n;
 * the piece check that compared every pair of relator occurrences;
+* the piece check that sorted every rotation of every relator and its
+  inverse and compared sorted neighbours;
 * the least-period normalization that rebuilt two residue sets per
   divisor.
 
 The new reducer must pick the same match at every step, so both the
 reduced word and the ``trace`` triples (word, i, t) are compared.  The
 pairwise piece scan is quadratic in the number of occurrences K, so the
-suite runs it on the cells of the (l, window, T) grid with K <= 300."""
+suite runs it on the cells of the (l, window, T) grid with K <= 300; the
+sorted-neighbour scan, O(K log K), runs on every cell of a wider grid."""
 
 import itertools
 import random
@@ -19,12 +22,13 @@ from collections import Counter
 
 import pytest
 
+from gbbkit import dehn
 from gbbkit.dehn import (CyclicPresentation, SmallCancellationReport, Word,
                          dehn_reduce, free_reduce, invert_word,
                          small_cancellation_check)
 from gbbkit.errors import DehnError
 from gbbkit.fixtures import dehn_presentation_godel
-from gbbkit.intsets import PeriodicSet
+from gbbkit.intsets import GodelSet, PeriodicSet
 
 # --- the reducer that rescanned the word on every step -----------------------
 
@@ -172,6 +176,34 @@ def reference_small_cancellation_check(pres, m, exponent_window):
         max_ratio=max_ratio, passes=max_ratio < 1.0 / m)
 
 
+# --- the sorted-neighbour piece scan -----------------------------------------
+
+
+def sorted_neighbour_small_cancellation_check(pres, m, exponent_window):
+    """The occurrences are sorted once.  In a sorted list the common
+    prefix of two entries is the least common prefix of the adjacent pairs
+    between them, so each occurrence shares its longest piece with one of
+    its two sorted neighbours (Kasai et al., CPM 2001)."""
+    rels = pres.relators_in_window(exponent_window)
+    occurrences = sorted(
+        (base[i:] + base[:i], n)
+        for n, rel in rels
+        for base in (rel, invert_word(rel))
+        for i in range(len(base))
+    )
+    best_piece = {n: 0 for n, _ in rels}
+    for (wa, na), (wb, nb) in zip(occurrences, occurrences[1:]):
+        p = reference_common_prefix_len(wa, wb)
+        best_piece[na] = max(best_piece[na], p)
+        best_piece[nb] = max(best_piece[nb], p)
+    ratios = {n: best_piece[n] / (abs(n) * pres.l) for n, _ in rels}
+    max_ratio = max(ratios.values())
+    return SmallCancellationReport(
+        m=m, window=exponent_window, relator_count=len(rels),
+        max_piece_length=max(best_piece.values()), per_relator_ratio=ratios,
+        max_ratio=max_ratio, passes=max_ratio < 1.0 / m)
+
+
 # --- the least-period loop ---------------------------------------------------
 
 
@@ -212,15 +244,16 @@ def reduced_words(letters, max_length):
 SHORT_WORDS = list(reduced_words((1, 2, 3, -1, -2, -3), 5))
 
 
-def relator_products(rng, pres, count):
-    """Products of rotated, conjugated relators and inverse relators of
-    exponents in [-4, 4], with up to two letters inserted anywhere."""
+def relator_products(rng, pres, count, factors=(1, 5), max_exponent=4):
+    """Products of randint(*factors) rotated, conjugated relators and
+    inverse relators of exponents in [-max_exponent, max_exponent],
+    whether in T or not, with up to two letters inserted anywhere."""
     l = pres.l
-    exponents = [n for n in range(-4, 5) if n]
+    exponents = [n for n in range(-max_exponent, max_exponent + 1) if n]
     out = []
     for _ in range(count):
         word = ()
-        for _ in range(rng.randrange(1, 6)):
+        for _ in range(rng.randint(*factors)):
             rel = pres.relator(rng.choice(exponents))
             if rng.random() < 0.5:
                 rel = invert_word(rel)
@@ -272,6 +305,107 @@ def test_relator_products_match_reference(l, kind):
         assert_same_reduction(pres, word)
 
 
+SPARSE_SETS = {
+    "godel": GodelSet(frozenset({0, 2}), 6),
+    "{0,1} mod 5": PeriodicSet(5, {0, 1}),
+    "empty": PeriodicSet.empty(),
+}
+
+
+def late_non_members(pres, word):
+    """Exponents that dehn_reduce finds not to be in T after its first
+    step."""
+    trace, late = [], []
+    real = pres.contains_exponent
+
+    def asked(n):
+        member = real(n)
+        if trace and not member:
+            late.append(n)
+        return member
+
+    pres.contains_exponent = asked
+    try:
+        dehn_reduce(pres, word, trace)
+    finally:
+        del pres.contains_exponent
+    return late
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_SETS))
+def test_long_words_over_sparse_sets_match_reference(kind):
+    # most exponents of the factors are not in T, so the reducer learns
+    # non-members after it has already taken steps
+    pres = CyclicPresentation(7, SPARSE_SETS[kind])
+    rng = random.Random(f"sparse-{kind}")
+    late = []               # stays empty for the empty set: no step is taken
+    for word in relator_products(rng, pres, 6, factors=(30, 40),
+                                 max_exponent=6):
+        late += late_non_members(pres, word)
+        assert_same_reduction(pres, word)
+    assert bool(late) == (kind != "empty")
+
+
+def test_long_l3_words_match_reference():
+    pres = CyclicPresentation(3, EXPONENT_SETS["2Z"])
+    rng = random.Random("long-l3")
+    for word in relator_products(rng, pres, 6, factors=(12, 15)):
+        assert len(word) > 60
+        assert_same_reduction(pres, word)
+
+
+def test_relabelling_matches_reference(monkeypatch):
+    # with unit label spacing every splice that leaves more runs than it
+    # removed finds no free label between its neighbours, so it relabels
+    # every run and rebuilds the heap
+    monkeypatch.setattr(dehn, "_LABEL_GAP", 1)
+    heaps = 0
+    real = dehn._heap
+
+    def counted(*args):
+        nonlocal heaps
+        heaps += 1
+        return real(*args)
+
+    monkeypatch.setattr(dehn, "_heap", counted)
+    words = 0
+    for l, kind in ((3, "2Z"), (5, "2Z"), (13, "Z")):
+        pres = CyclicPresentation(l, EXPONENT_SETS[kind])
+        rng = random.Random(f"relabel-{l}")
+        for word in relator_products(rng, pres, 10, factors=(8, 12)):
+            assert_same_reduction(pres, word)
+            words += 1
+    assert heaps - words >= 10           # one heap per reduction, and relabels
+
+
+def random_runs(rng, l, size):
+    """A run encoding that mostly steps between generators with repeated
+    counts, so that chains, partial blocks and sign changes all occur."""
+    letters, counts = [], []
+    g, s, step, c = 1, 1, 1, 1
+    for _ in range(size):
+        if rng.random() < 0.2:
+            g = rng.randrange(1, l + 1)
+            s, step = rng.choice((1, -1)), rng.choice((1, -1))
+        else:
+            g = (g - 1 + step) % l + 1
+        if rng.random() < 0.3:
+            c = rng.randrange(1, 5)
+        letters.append(s * g)
+        counts.append(c)
+    return letters, counts
+
+
+def test_one_pass_keys_match_per_run_keys():
+    rng = random.Random(11)
+    for _ in range(3000):
+        l = rng.randrange(4, 14)
+        letters, counts = random_runs(rng, l, rng.randrange(0, 40))
+        assert dehn._initial_keys(letters, counts, l) == [
+            dehn._run_key(letters, counts, p, l, set())
+            for p in range(len(letters))], (l, letters, counts)
+
+
 PIECE_GRID = [
     (l, window, kind)
     for l in range(3, 14)
@@ -305,6 +439,34 @@ def test_piece_check_matches_pairwise_scan():
             (l, window, kind)
         compared += 1
     assert compared == 258
+
+
+CLOSED_FORM_SETS = {
+    "2Z": PeriodicSet.multiples(2),
+    "Z": PeriodicSet.all_integers(),
+    "1+3Z": PeriodicSet(3, {1}),
+    "3Z": PeriodicSet.multiples(3),
+    "{0,1} mod 5": PeriodicSet(5, {0, 1}),
+    "{2,3,6} mod 7": PeriodicSet(7, {2, 3, 6}),
+    "godel": GodelSet(frozenset({0, 2}), 6),
+}
+
+
+def test_closed_form_pieces_match_sorted_neighbour_scan():
+    compared = 0
+    for kind, T in CLOSED_FORM_SETS.items():
+        for l in range(3, 14):
+            pres = CyclicPresentation(l, T)
+            for window in range(1, 13):
+                if not pres.relators_in_window(window):
+                    with pytest.raises(DehnError):
+                        small_cancellation_check(pres, 6, window)
+                    continue
+                assert small_cancellation_check(pres, 6, window) == \
+                    sorted_neighbour_small_cancellation_check(
+                        pres, 6, window), (kind, l, window)
+                compared += 1
+    assert compared == 891
 
 
 def test_least_period_matches_reference():
