@@ -116,7 +116,7 @@ def _resolve_quotient(fixture, bits, quotient_file):
         return q.presentation, q
     if quotient_file:
         pres = square_presentation()
-        target, theta, _mode = quotient_spec_from_json(load_json(quotient_file))
+        target, theta = quotient_spec_from_json(load_json(quotient_file))
         return pres, verify_abelian_exact(pres, target, theta)
     if fixture not in QUOTIENT_FIXTURES:
         raise GbbError(

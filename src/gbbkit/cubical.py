@@ -34,17 +34,19 @@ tables, so no cell needs a group product; hyperplanes and cylinders are
 unions over those lists.
 
 Q acts on the complex by translating the torsor coordinate,
-(j, u, q') -> (j, u, q' + q).  Construction asserts once that, for each
-height and base edge, the sides of every square sit at the same offsets
-from its lower-left side and the lower-left side runs over Q exactly once.
-Translation then maps squares to squares, so it is an automorphism, and it
-acts transitively on the cosets Q/P_j, the vertices of height j.  Links and
-the four specialness pathologies are local and invariant under
-automorphisms (Haglund and Wise, "Special cube complexes", GAFA 18, 2008),
-so one vertex v = (j, r) per height carries the link certificate.  Its
-link must be the doubled base complex S(L) (height in S) or the doubled
-total space S(M) of the cover (height outside S, rho_j injective), through
-the map the parametrization predicts:
+(j, u, q') -> (j, u, q' + q).  The construction makes this an
+automorphism: for each height and base edge, the lower-left side of a
+square runs over Q exactly once, and every other side is read from a
+fixed translation table, so it sits at the same offset from the
+lower-left side in every square.  Translation therefore maps squares to
+squares, and it acts transitively on the cosets Q/P_j, the vertices of
+height j.  Links and the four specialness pathologies are local and
+invariant under automorphisms (Haglund and Wise, "Special cube
+complexes", GAFA 18, 2008), so one vertex v = (j, r) per height carries
+the link certificate.  Its link must be the doubled base complex S(L)
+(height in S) or the doubled total space S(M) of the cover (height
+outside S, rho_j injective), through the map the parametrization
+predicts:
 
 * height in S:  (e, up) -> (label(e), +1),  (e, down) -> (label(e), -1);
 * otherwise:    (j, u, q') up      -> ((u, rho_j^-1(r - q')), +1),
@@ -79,7 +81,6 @@ this finite model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import lcm
 
 from .errors import CubicalError, InternalError
@@ -300,7 +301,6 @@ class QuotientCubeComplex:
         edges = self.edges
         self.squares = [Square(edges[p1], edges[p2], edges[p3], edges[p4])
                         for p1, p2, p3, p4 in self._sides]
-        self._check_translation()
 
     def _check_square(self, sides):
         # lower sides share the bottom corner; vertical sides close up
@@ -318,35 +318,6 @@ class QuotientCubeComplex:
         if (s1 // nQ - s2 // nQ) % nV == 0:
             raise InternalError("adjacent square sides share a label")
 
-    def _check_translation(self):
-        """Translation by Q maps squares to squares: over each height and
-        base edge, every square's sides sit at one set of offsets from its
-        lower-left side, whose coordinate runs over Q exactly once."""
-        nQ, nV = len(self._elements), len(self._label_index)
-        label, index = self._label_index, self._index
-        shapes = {}  # (j, u, u') -> (side blocks and offsets, lower-lefts)
-        for sq in self.squares:
-            # self.position of each side, inlined
-            p1, *rest = [(e.j * nV + label[e.label]) * nQ + index[e.q.coords]
-                         for e in sq.sides()]
-            x1 = p1 % nQ
-            key = (sq.e1.j, sq.e1.label, sq.e2.label)
-            if key not in shapes:
-                shapes[key] = ([(p // nQ, _translation(
-                    self.Q.factors, _difference(self, p % nQ, x1).coords))
-                    for p in rest], [])
-            shape, lower_left = shapes[key]
-            for p, (block, shift) in zip(rest, shape):
-                if p // nQ != block or p % nQ != shift[x1]:
-                    raise InternalError(
-                        f"square {sq.sides()} is not a translate of the "
-                        f"first square over {key}")
-            lower_left.append(x1)
-        for key, (_, lower_left) in shapes.items():
-            if len(lower_left) != nQ or len(set(lower_left)) != nQ:
-                raise InternalError(
-                    f"the squares over {key} do not form one Q-orbit")
-
     # -- incidence -------------------------------------------------------
     def position(self, e):
         """The position of the edge e in ``edges``."""
@@ -363,23 +334,6 @@ class QuotientCubeComplex:
 
     def top(self, e):
         return self.vertices[self._top[self.position(e)]]
-
-    # Edge-keyed views of the incidence lists, built on first use; the
-    # module itself reads only the lists
-    @cached_property
-    def _edges_by_bottom(self):
-        return {self.vertices[v]: [self.edges[p] for p in ps]
-                for v, ps in enumerate(self._ups)}
-
-    @cached_property
-    def _edges_by_top(self):
-        return {self.vertices[v]: [self.edges[p] for p in ps]
-                for v, ps in enumerate(self._downs)}
-
-    @cached_property
-    def _squares_of_edge(self):
-        return {e: [self.squares[s >> 2] for s in at]
-                for e, at in zip(self.edges, self._squares_at)}
 
     def translate_edge(self, e, q):
         """The action of Q on edges (translation of the torsor coordinate)."""

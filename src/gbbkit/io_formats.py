@@ -39,15 +39,15 @@ def set_to_json(s):
 
 
 def quotient_spec_from_json(data):
-    """Parse {"target": {...}, "theta": {...}, "mode": ...}; theta keys are
-    "u,v" strings, values are coordinate lists for abelian targets."""
+    """Parse {"target": {...}, "theta": {...}} into (target, theta); theta
+    keys are "u,v" strings, values are coordinate lists for abelian
+    targets.  Other fields are ignored."""
     try:
         target_data = data["target"]
         kind = target_data["kind"]
         factors = tuple(int(f) for f in target_data["factors"])
         coords = {tuple(key.split(",")): [int(c) for c in value]
                   for key, value in data["theta"].items()}
-        mode = data.get("mode", "abelian-exact")
     except _MALFORMED as err:
         raise InputError(f"malformed quotient JSON: {err!r}") from None
     if kind != "abelian":
@@ -58,7 +58,7 @@ def quotient_spec_from_json(data):
         raise InputError("theta keys must be \"u,v\" vertex pairs")
     target = AbelianGroup(factors)
     theta = {key: target.element(c) for key, c in coords.items()}
-    return target, theta, mode
+    return target, theta
 
 
 def load_json(path):

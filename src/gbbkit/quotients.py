@@ -4,9 +4,10 @@ three quotient recipes (classifying cocycle, wreath labelling, product
 with the abelianized kernel).
 
 A quotient is a map theta on directed edges of the base, compatible with
-edge reversal, that kills every relator.  Verification is exact for
-abelian targets (a cycle-basis computation, see verify_abelian_exact) and
-window-bounded otherwise.
+edge reversal, that kills every relator.  Verification is exact for every
+finite target, on the fundamental cycles of the cover's spanning tree:
+through the label kernel for abelian targets (verify_abelian_exact), and
+through the deck monodromy of the voltages otherwise (verify_bounded).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .groups import (AbelianGroup, Permutation, PermutationGroup, Subgroup,
                      TupleElement, WreathElement, build_pqrs, ore_commutator,
                      power_product, r_set)
 from .intsets import PeriodicSet, gcd_of_set
-from .presentation import GbbPresentation, loops_upto
+from .presentation import GbbPresentation
 from .simplicial import star_union, subdivide_graph_edges
 
 
@@ -37,11 +38,10 @@ class AbelianExactCertificate:
 
 
 @dataclass
-class BoundedCertificate:
+class CycleCertificate:
     mode: str
-    loop_length_bound: int
-    exponent_window: int
-    loops_checked: int
+    exponent_window: int       # one period of every power product
+    loops_checked: int         # fundamental cycles of the spanning tree
     failures: list = field(default_factory=list)
 
     @property
@@ -97,9 +97,9 @@ def _complete_theta(pres, theta):
 
 def _cycle_basis(pres):
     """Loops built from the cover's spanning tree: one per non-tree edge,
-    path-to-u + edge + reversed path-to-v.  Every loop is an integer
-    combination of these in homology, which is all an abelian target can
-    see."""
+    path-to-u + edge + reversed path-to-v.  They generate the fundamental
+    group at the base vertex freely, so a homomorphism out of it is
+    decided on them."""
     cover = pres.cover
     tree_edges = set()
     for u, word in cover.path_words.items():
@@ -173,12 +173,10 @@ def verify_abelian_exact(pres: GbbPresentation, target: AbelianGroup, theta):
         mode="abelian-exact",
         basis_loops=basis,
         basis_labels=labels,
-        kernel_generators=[],
+        kernel_generators=_label_kernel_generators(labels),
         d=gcd_of_set(pres.S),
     )
-    kernel = _label_kernel_generators(labels)
-    cert.kernel_generators = kernel
-    for vec in kernel:
+    for vec in cert.kernel_generators:
         acc = target.identity()
         for c, v in zip(vec, values):
             acc = acc * (v ** c)
@@ -198,44 +196,43 @@ def verify_abelian_exact(pres: GbbPresentation, target: AbelianGroup, theta):
     return FiniteQuotient(pres, target, full, "abelian-exact", cert)
 
 
-def _word_value(full_theta, word, target=None):
-    out = None
+def _word_value(full_theta, word, target):
+    out = target.identity()
     for e in word:
-        v = full_theta[e]
-        out = v if out is None else out * v
-    if out is None:
-        if target is None:
-            raise QuotientError("empty word needs a target for its identity")
-        return target.identity()
+        out = out * full_theta[e]
     return out
 
 
-def verify_bounded(pres, theta, loop_length_bound=12):
-    """Window-bounded relator verification for arbitrary targets: every
-    relator over cyclically reduced loops up to the length bound, at every
-    exponent of one period of S and of the theta images, must die.  (Reduced
-    loops decide: backtracks telescope inside power products.)"""
+def verify_bounded(pres, theta):
+    """Exact relator verification for any finite target.  At exponent j,
+    a loop's power product is its voltage under e -> theta(e)^j, which is
+    multiplicative along loops (Gross and Tucker, Topological Graph
+    Theory, 1987), so the fundamental cycles decide at each j of one
+    period: in S their voltages must be trivial; outside S only the
+    lifting loops must die, i.e. the voltages must factor through the
+    deck labels as rho_j.  Failures name (fundamental cycle, j), or
+    stabilizer_image names where rho_j is not a homomorphism.  The name
+    is kept for perfbench's tracer, which wraps the function by it."""
     full = _complete_theta(pres, theta)
-    exponent_window = lcm(pres.S.modulus, *(g.order() for g in full.values()))
-    cert = BoundedCertificate(
-        mode="bounded",
-        loop_length_bound=loop_length_bound,
-        exponent_window=exponent_window,
-        loops_checked=0,
+    quotient = FiniteQuotient(pres, None, full, "cycle-exact", None)
+    basis = _cycle_basis(pres)
+    labels = [pres.cover.lift_word(loop) for loop in basis]
+    cert = quotient.certificate = CycleCertificate(
+        mode="cycle-exact",
+        exponent_window=lcm(pres.S.modulus, quotient.target_exponent()),
+        loops_checked=len(basis),
     )
-    for loop in loops_upto(pres.L, loop_length_bound, reduced=True):
-        cert.loops_checked += 1
-        lifts = lifts_to_loop(pres.cover, loop)
-        gs = [full[e] for e in loop]
-        for j in range(exponent_window):
-            should_die = (j in pres.S) or lifts
-            if should_die and not power_product(gs, j).is_identity():
+    for j in range(cert.exponent_window):
+        rho = None if j in pres.S else stabilizer_image(quotient, j)[0]
+        for loop, label in zip(basis, labels):
+            v = power_product([full[e] for e in loop], j)
+            if not (v.is_identity() if rho is None else v == rho[label]):
                 cert.failures.append((loop, j))
     if cert.failures:
         raise QuotientError(
-            f"theta does not kill bounded relators: {cert.failures[:3]}"
+            f"theta does not kill the relators: {cert.failures[:3]}"
         )
-    return FiniteQuotient(pres, None, full, "bounded", cert)
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +395,8 @@ def wreath_recipe(graph, sigma, r, n, s0, base_vertex=None,
     four detector elements are placed on the first four sub-edges of e;
     the product labelling over all such k is theta.  The deck group is
     generated by the sigma values, acting on the subdivision via the last
-    sub-edge of each original edge."""
+    sub-edge of each original edge.  The certificate is exact; the
+    accepted ``loop_length_bound`` no longer affects it."""
     if r < 4:
         raise QuotientError("edge subdivision must have r >= 4")
     if n < 1:
@@ -458,7 +456,7 @@ def wreath_recipe(graph, sigma, r, n, s0, base_vertex=None,
             parts.append(val.inverse() if reverse else val)
         theta[(a, b)] = TupleElement(tuple(parts))
 
-    quotient = verify_bounded(pres, theta, loop_length_bound=loop_length_bound)
+    quotient = verify_bounded(pres, theta)
     quotient.target = ("wreath-power", N, n, len(k_list))
     if k_list:
         tf, witness = kernel_torsion_free(quotient)

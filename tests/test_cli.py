@@ -257,6 +257,14 @@ def test_recipe_wreath_small(runner):
     assert res.exit_code == 0
 
 
+def test_recipe_wreath_past_the_loop_window_is_cycle_exact(runner):
+    res = run(runner, "recipe", "--kind", "wreath", "--r", "16", "--json")
+    assert res.exit_code == 0
+    env = envelope(res)
+    assert env["certificate_modes"] == ["cycle-exact"]
+    assert env["verdicts"]["certificate_passed"] is True
+
+
 # --- rset ----------------------------------------------------------------------------
 
 

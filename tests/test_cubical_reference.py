@@ -365,15 +365,26 @@ def test_families_are_complete():
 # --- differential tests ------------------------------------------------------
 
 
+def incidence_views(Y):
+    """Y's incidence position lists keyed by cells, as the reference keeps
+    them: the edges rising from and arriving at each vertex, and the
+    squares at each edge."""
+    return ({Y.vertices[v]: [Y.edges[p] for p in ps]
+             for v, ps in enumerate(Y._ups)},
+            {Y.vertices[v]: [Y.edges[p] for p in ps]
+             for v, ps in enumerate(Y._downs)},
+            {e: [Y.squares[s >> 2] for s in at]
+             for e, at in zip(Y.edges, Y._squares_at)})
+
+
 def assert_same(Y, R, name, all_links):
     assert Y.vertices == R.vertices, name
     assert Y.edges == R.edges, name
     assert Y.squares == R.squares, name
     for e in Y.edges:
         assert (Y.bottom(e), Y.top(e)) == R.ends[e], (name, e)
-    assert Y._edges_by_bottom == R.edges_by_bottom, name
-    assert Y._edges_by_top == R.edges_by_top, name
-    assert Y._squares_of_edge == R.squares_of_edge, name
+    assert incidence_views(Y) == (R.edges_by_bottom, R.edges_by_top,
+                                  R.squares_of_edge), name
 
     planes = hyperplanes(Y)
     ref_planes = ref_hyperplanes(R)

@@ -31,12 +31,14 @@ from gbbkit.simplicial import octahedralize
 
 def oracle_link_graph(Y, v):
     g = nx.Graph()
-    ups = Y._edges_by_bottom.get(v, ())
-    downs = Y._edges_by_top.get(v, ())
+    x = Y.vertex_position(v)
+    ups = [Y.edges[p] for p in Y._ups[x]]
+    downs = [Y.edges[p] for p in Y._downs[x]]
     g.add_nodes_from((e, "up") for e in ups)
     g.add_nodes_from((e, "down") for e in downs)
     for e in (*ups, *downs):
-        for sq in Y._squares_of_edge[e]:
+        for s in Y._squares_at[Y.position(e)]:
+            sq = Y.squares[s >> 2]
             for corner, end1, end2 in (
                 (Y.bottom(sq.e1), (sq.e1, "up"), (sq.e2, "up")),
                 (Y.top(sq.e1), (sq.e1, "down"), (sq.e3, "up")),
@@ -232,10 +234,3 @@ def test_extra_doubled_edge_names_missing_link_edge():
                              r"\('w', 1\) -- \('y', 1\) of S\(L\)"):
         cubical._validate_all_links(Y)
 
-
-def test_translation_check_rejects_a_displaced_square():
-    Y = build_quotient(square_presentation(), square_index16_quotient(), 2)
-    sq = Y.squares[1]
-    Y.squares[1] = cubical.Square(sq.e1, sq.e2, sq.e4, sq.e3)
-    with pytest.raises(InternalError, match="not a translate"):
-        Y._check_translation()

@@ -12,7 +12,10 @@ call.  Verdicts, witnesses, every rho_j over the old modulus, its image
 and every loop list must agree.  The label kernel of the exact
 certificate was enumerated over the box of residues; the library now
 takes the Schreier generators of one breadth-first walk, which must span
-the same lattice."""
+the same lattice.  Relators over any target were checked on every reduced
+loop up to a length window; the library now decides them exactly on the
+fundamental cycles of the cover, and must agree with the window wherever
+the window reaches far enough."""
 
 import functools
 import itertools
@@ -23,21 +26,23 @@ from math import lcm
 import pytest
 
 from gbbkit import groups
-from gbbkit.covers import build_cover
+from gbbkit.covers import build_cover, lifts_to_loop
 from gbbkit.errors import QuotientError
-from gbbkit.fixtures import (annulus_complex, cycle_complex, rose_graph,
-                             rose_wreath_recipe, square_cocycle_quotient,
-                             square_complex, square_index16_quotient,
+from gbbkit.fixtures import (SQUARE_EDGES, annulus_complex, cycle_complex,
+                             rose_graph, rose_wreath_recipe,
+                             square_cocycle_quotient, square_complex,
+                             square_index16_quotient, square_presentation,
                              square_quotient_bits, triple_cover_quotient)
 from gbbkit.groups import (AbelianElement, AbelianGroup, Permutation,
                            PermutationGroup, TupleElement, WreathElement,
                            power_product, subgroup_closure)
 from gbbkit.intsets import PeriodicSet
 from gbbkit.presentation import GbbPresentation, loops_upto
-from gbbkit.quotients import (FiniteQuotient, _cycle_basis,
+from gbbkit.quotients import (FiniteQuotient, _complete_theta, _cycle_basis,
                               _label_kernel_generators, cocycle_recipe,
                               hw_product_quotient, kernel_torsion_free,
-                              stabilizer_image, verify_bounded)
+                              stabilizer_image, verify_abelian_exact,
+                              verify_bounded)
 from gbbkit.simplicial import build_complex, subdivide_graph_edges
 
 # --- the closure oracles -------------------------------------------------------
@@ -142,8 +147,7 @@ WREATHS = [(r, n) for r in (4, 6) for n in (2, 3)]
 
 @pytest.fixture(scope="module")
 def wreaths():
-    return {(r, n): rose_wreath_recipe(r=r, n=n, loop_length_bound=2 * r)
-            for r, n in WREATHS}
+    return {(r, n): rose_wreath_recipe(r=r, n=n) for r, n in WREATHS}
 
 
 def assert_matches_reference(q):
@@ -187,10 +191,9 @@ def test_faithful_representation_keeps_the_exponent(wreaths):
 
 def test_bounded_window_is_one_generator_period(wreaths):
     for (r, n), res in wreaths.items():
-        q = verify_bounded(res.presentation, res.quotient.theta,
-                           loop_length_bound=r)
+        q = verify_bounded(res.presentation, res.quotient.theta)
         assert q.certificate.exponent_window == n
-        assert q.certificate.loops_checked > 0
+        assert q.certificate.loops_checked == 2
 
 
 def test_homomorphism_failure_names_a_generator():
@@ -212,7 +215,7 @@ def test_homomorphism_failure_names_a_generator():
 
 
 def test_quotient_path_builds_no_subgroup(monkeypatch, wreaths):
-    """Periods, stabilizer images and the bounded window are read off the
+    """Periods, stabilizer images and the relator check are read off the
     generators: with every binding of subgroup_closure refusing, they
     still succeed."""
     product = hw_product_quotient(cycle_cocycle_quotient(6, 5))
@@ -235,8 +238,7 @@ def test_quotient_path_builds_no_subgroup(monkeypatch, wreaths):
     for j in range(5):
         _, image = stabilizer_image(product, j)
         assert image.order == (1 if j == 0 else 5)
-    q = verify_bounded(wreath.presentation, wreath.quotient.theta,
-                       loop_length_bound=8)
+    q = verify_bounded(wreath.presentation, wreath.quotient.theta)
     assert q.certificate.passed
 
 
@@ -370,6 +372,110 @@ def test_label_kernel_past_the_box():
     basis = hermite_basis(cert.kernel_generators, 6)
     assert math.prod(basis[i][i] for i in range(6)) == 13
     assert cert.passed and kernel_torsion_free(q) == (True, None)
+
+
+# --- the loop-window oracle -------------------------------------------------------
+
+
+def reference_verify_bounded(pres, theta, loop_length_bound):
+    """The replaced window search: the (loop, j) pairs where a relator
+    that applies (j in S, or the loop lifts) survives, over every
+    cyclically reduced loop up to the length bound and every exponent of
+    one period of S and of the theta images."""
+    full = _complete_theta(pres, theta)
+    window = lcm(pres.S.modulus, *(g.order() for g in full.values()))
+    failures = []
+    for loop in loops_upto(pres.L, loop_length_bound, reduced=True):
+        lifts = lifts_to_loop(pres.cover, loop)
+        gs = [full[e] for e in loop]
+        for j in range(window):
+            if ((j in pres.S or lifts)
+                    and not power_product(gs, j).is_identity()):
+                failures.append((loop, j))
+    return failures
+
+
+def exact_witness(pres, theta):
+    """None if the exact check passes, else the kind of witness it names:
+    a deck element and generator where rho_j is not a homomorphism, or a
+    fundamental cycle."""
+    try:
+        verify_bounded(pres, theta)
+    except QuotientError as err:
+        return ("homomorphism" if "is not a homomorphism at" in str(err)
+                else "cycle")
+    return None
+
+
+def perturbed(res):
+    """Every labelling that sets one edge of the wreath's base to one of
+    the theta values, in the base's edge order."""
+    pres, theta = res.presentation, res.quotient.theta
+    L = pres.L
+    values = sorted(set(theta.values()), key=repr)
+    for e in L.edges():
+        a, b = sorted(e, key=L.vertex_position)
+        for v in values:
+            yield {**theta, (a, b): v, (b, a): v.inverse()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_check_matches_the_window_on_perturbed_wreaths(n):
+    """On the r = 4 rose wreath, a window of 3r = 12 covers every relator
+    that decides these labellings: the exact verdict equals the window's
+    on each.  The window of 10 misses 8 of the n = 2 rejections."""
+    res = rose_wreath_recipe(r=4, n=n)
+    pres = res.presentation
+    rows = [(exact_witness(pres, theta), theta) for theta in perturbed(res)]
+    assert len(rows) == {2: 32, 3: 64}[n]
+    for witness, theta in rows:
+        assert (witness is None) == (
+            not reference_verify_bounded(pres, theta, 12))
+    kinds = [witness for witness, _ in rows]
+    if n == 2:
+        assert (kinds.count("cycle"), kinds.count("homomorphism")) == (12, 8)
+        missed = [theta for witness, theta in rows if witness
+                  and not reference_verify_bounded(pres, theta, 10)]
+        assert len(missed) == 8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_wreaths_pass_the_window_and_the_exact_check(n):
+    for r in (4, 5, 6, 8, 12):
+        res = rose_wreath_recipe(r=r, n=n)
+        cert = res.quotient.certificate
+        assert (cert.mode, cert.loops_checked, cert.passed) == (
+            "cycle-exact", 2, True)
+        assert reference_verify_bounded(res.presentation, res.quotient.theta,
+                                        3 * r) == []
+
+
+@pytest.mark.parametrize("modulus", [2, 1])
+def test_exact_check_matches_the_abelian_check_on_the_square(modulus):
+    """Every labelling of the square base by Z/2 and by Z/4: the exact
+    check, the abelian exact check and the window of 8 agree.  With
+    S = 2Z all 16 labellings by Z/2 pass, the 15 bit patterns among them,
+    and one by Z/4 passes iff its values sum to an even residue.  With
+    S = Z the values must sum to zero, which only exponents past the
+    period of S show."""
+    pres = square_presentation(S=PeriodicSet.multiples(modulus))
+    verdicts = []
+    for factor in (2, 4):
+        target = AbelianGroup((factor,))
+        for coords in itertools.product(range(factor), repeat=4):
+            theta = {SQUARE_EDGES[name]: target.element((c,))
+                     for name, c in zip("abcd", coords)}
+            try:
+                verify_abelian_exact(pres, target, theta)
+                abelian = True
+            except QuotientError:
+                abelian = False
+            exact = exact_witness(pres, theta) is None
+            assert exact == abelian == (
+                not reference_verify_bounded(pres, theta, 8)), coords
+            verdicts.append(exact)
+    assert (len(verdicts), sum(verdicts)) == (
+        16 + 256, {2: 16 + 128, 1: 8 + 64}[modulus])
 
 
 # --- the rotation oracle ----------------------------------------------------------

@@ -125,16 +125,16 @@ def test_star_abelian_check():
     assert ok
 
 
-# --- bounded verification ----------------------------------------------------
+# --- cycle-exact verification ------------------------------------------------
 
 
 def test_bounded_certificate_on_abelian_data():
     pres = square_presentation()
     t2 = AbelianGroup((2,))
-    q = verify_bounded(pres, bits_theta((1, 0, 0, 0), t2),
-                       loop_length_bound=6)
+    q = verify_bounded(pres, bits_theta((1, 0, 0, 0), t2))
+    assert q.mode == q.certificate.mode == "cycle-exact"
     assert q.certificate.passed
-    assert q.certificate.loops_checked > 0
+    assert q.certificate.loops_checked == 1
 
 
 def test_bounded_certificate_rejects():
@@ -142,8 +142,7 @@ def test_bounded_certificate_rejects():
     t3 = AbelianGroup((3,))
     with pytest.raises(QuotientError):
         # order-3 values cannot die at every even exponent
-        verify_bounded(pres, bits_theta((1, 0, 0, 0), t3),
-                       loop_length_bound=4)
+        verify_bounded(pres, bits_theta((1, 0, 0, 0), t3))
 
 
 # --- recipes -----------------------------------------------------------------
@@ -171,7 +170,7 @@ def test_cocycle_recipe_preconditions():
 
 
 def test_hw_product_needs_an_abelian_quotient():
-    q = rose_wreath_recipe(r=4, n=2, loop_length_bound=4).quotient
+    q = rose_wreath_recipe(r=4, n=2).quotient
     with pytest.raises(QuotientError, match="needs an abelian quotient"):
         hw_product_quotient(q)
 
@@ -189,8 +188,21 @@ def test_hw_product_preserves_certificates():
 
 
 def test_wreath_recipe_small():
-    result = rose_wreath_recipe(r=4, n=2, s0=(0,), loop_length_bound=4)
+    result = rose_wreath_recipe(r=4, n=2, s0=(0,))
     assert result.quotient.certificate.passed
     assert result.k_list == (1,)
     tf, _ = kernel_torsion_free(result.quotient)
     assert tf
+
+
+def test_wreath_certificate_checks_every_fundamental_cycle():
+    """Past r = 12 no reduced loop of the rose subdivision has length at
+    most the default window of 12; the certificate still checks both
+    petals' cycles, and the window no longer affects it."""
+    q = rose_wreath_recipe(r=16).quotient
+    assert q.mode == "cycle-exact"
+    assert q.certificate.loops_checked == 2
+    assert q.certificate.passed
+    assert (rose_wreath_recipe(r=4, loop_length_bound=4).quotient.certificate
+            == rose_wreath_recipe(r=4, loop_length_bound=36).quotient
+            .certificate)
