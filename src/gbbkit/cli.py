@@ -20,7 +20,6 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from math import lcm
 
 import click
 
@@ -127,10 +126,6 @@ def _resolve_quotient(fixture, bits, quotient_file):
     return q.presentation, q
 
 
-def _default_wrap(pres, quotient):
-    return lcm(pres.S.modulus, quotient.target_exponent())
-
-
 def _cell_dump(Y):
     verts = [{"id": i, "height": j, "coset": repr(r)}
              for i, (j, r) in enumerate(sorted(Y.vertices))]
@@ -207,7 +202,7 @@ def build_complex_cmd(fixture, bits, quotient_file, wrap, dump_cells, as_json):
 
     def run():
         pres, q = _resolve_quotient(fixture, bits, quotient_file)
-        N = _default_wrap(pres, q) if wrap is None else wrap
+        N = q.period if wrap is None else wrap
         Y = build_quotient(pres, q, N, require_torsion_free=True)
         env = ReportEnvelope(
             "build-complex",
@@ -244,7 +239,7 @@ def check_special_cmd(fixture, bits, quotient_file, wrap, stabilize, as_json):
 
     def run():
         pres, q = _resolve_quotient(fixture, bits, quotient_file)
-        N = _default_wrap(pres, q) if wrap is None else wrap
+        N = q.period if wrap is None else wrap
         env = ReportEnvelope(
             "check-special",
             {"fixture": fixture, "bits": bits, "quotient": quotient_file,

@@ -1,9 +1,10 @@
 """Compact wrapped quotient cube complexes.
 
 Given a verified abelian quotient theta of the edge-generated group and a
-wrap period N (a multiple of lcm(period of S, exponent of the target Q)),
-this module builds a finite square complex whose vertices, edges, and
-squares are parametrized by explicit group data:
+wrap period N (a multiple of the quotient's period, lcm(period of S,
+orders of the theta images)), this module builds a finite square complex
+whose vertices, edges, and squares are parametrized by explicit group
+data:
 
 * heights j live in Z/N;
 * rho_j is the stabilizer image at height j (for abelian Q, rho_j = j * rho_1)
@@ -81,11 +82,10 @@ this finite model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 from .errors import CubicalError, InternalError
 from .groups import AbelianGroup, subgroup_closure
-from .quotients import FiniteQuotient, stabilizer_image
+from .quotients import FiniteQuotient, kernel_torsion_free
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class QuotientCubeComplex:
         self.presentation = pres
         self.quotient = quotient
         self.N = N
-        self._link_models = {}  # link tag -> its doubled complex
+        self._models = {}  # link tag -> _model_ids(self, tag)
         self._build()
 
     # -- construction ---------------------------------------------------
@@ -205,11 +205,11 @@ class QuotientCubeComplex:
             )
         self.Q = quotient.target
         S = pres.S
-        base_period = lcm(S.modulus, self.Q.exponent if self.Q.factors else 1)
-        if self.N < 1 or self.N % base_period:
+        if self.N < 1 or self.N % quotient.period:
             raise CubicalError(
                 f"wrap N={self.N} must be a positive multiple of "
-                f"lcm(period(S), exponent(Q)) = {base_period}"
+                f"lcm(period(S), orders of the theta images) = "
+                f"{quotient.period}"
             )
         N = self.N
         cover = pres.cover
@@ -224,12 +224,11 @@ class QuotientCubeComplex:
 
         # transport tables
         self.rho = {}
-        self.P = {}  # height -> frozenset of subgroup elements
+        self.P = {}  # height -> the image of rho_j
         for j in range(N):
-            self.rho[j], image = stabilizer_image(quotient, j)
-            self.P[j] = frozenset(image.elements)
+            self.rho[j], self.P[j] = quotient.rho(j)
         for j in range(N):
-            if j in S and len(self.P[j]) != 1:
+            if j in S and self.P[j].order != 1:
                 raise InternalError("P_j nontrivial at a height in S")
         self.tau = {}
         ident = self.Q.identity()
@@ -247,7 +246,8 @@ class QuotientCubeComplex:
         self._height_start = []  # height -> position of its first vertex
         self._vertex_at = []     # height -> Q position -> vertex position
         for j in range(N):
-            cosets = [_translation(factors, p.coords) for p in self.P[j]]
+            cosets = [_translation(factors, p.coords)
+                      for p in self.P[j].elements]
             owner = [-1] * nQ
             self._height_start.append(len(self.vertices))
             for x in range(nQ):
@@ -365,16 +365,12 @@ def build_quotient(pres, quotient: FiniteQuotient, N, validate_links=True,
     With ``require_torsion_free`` a kernel with torsion is refused, with
     the witness ``kernel_torsion_free`` names: the least height j outside
     S where rho_j is not injective, and the first deck element rho_j
-    kills.  N is a multiple of that check's modulus, so the heights of Y
-    cover it."""
+    kills."""
     Y = QuotientCubeComplex(pres, quotient, N)
     if require_torsion_free:
-        identity = pres.cover.deck.identity
-        for j in range(N):
-            if j not in pres.S and not _injective(Y, j):
-                g = next(g for g, v in Y.rho[j].items()
-                         if v.is_identity() and g != identity)
-                raise CubicalError(f"quotient kernel has torsion: {(j, g)}")
+        tf, witness = kernel_torsion_free(quotient)
+        if not tf:
+            raise CubicalError(f"quotient kernel has torsion: {witness}")
     if validate_links:
         _validate_all_links(Y)
     return Y
@@ -418,30 +414,6 @@ def _end(Y, end):
     return (Y.edges[end >> 1], _ROLE[end & 1])
 
 
-def _doubled(Y, tag):
-    """(vertices, edges) of the 1-skeleton of the doubled complex a link of
-    type ``tag`` must equal: V x {+1, -1} and {(a, s), (b, t)} for each
-    edge {a, b} and signs s, t, where V and the edges are those of L for
-    'S(L)', and for 'S(M)' those of the cover's total space with each
-    vertex (u, g) renamed (u, g h(u)^-1)."""
-    if tag not in Y._link_models:
-        cover = Y.presentation.cover
-        if tag == "S(L)":
-            K = Y.presentation.L
-            name = {x: x for x in K.vertices}
-        else:
-            K = cover.total
-            name = {(u, g): (u, g * cover.h[u].inverse())
-                    for u, g in K.vertices}
-        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        Y._link_models[tag] = (
-            frozenset((name[x], s) for x in K.vertices for s in (1, -1)),
-            frozenset(frozenset(((name[a], s), (name[b], t)))
-                      for a, b in K.edges() for s, t in signs),
-        )
-    return Y._link_models[tag]
-
-
 def _predicted_map(Y, v, link, tag):
     """The map from the link at the vertex at position v onto the doubled
     complex that the parametrization predicts (see the module docstring);
@@ -472,16 +444,33 @@ def _edge_id(a, b, n):
 
 
 def _model_ids(Y, tag):
-    """The doubled complex ``tag`` with integer ids: its vertices, a map
+    """The 1-skeleton of the doubled complex a link of type ``tag`` must
+    equal, with integer ids, built once per complex: its vertices, a map
     from each to its id (its place in the vertices), and a map from the id
-    of each edge (from the ids of its ends) to the edge.  An edge end off
-    the vertices, in a damaged model, gets the id n = |vertices|, which no
-    link end maps to."""
-    nodes, edges = _doubled(Y, tag)
-    ids = {x: i for i, x in enumerate(nodes)}
-    n = len(ids)
-    return nodes, ids, {_edge_id(*(ids.get(x, n) for x in e), n + 1): e
-                        for e in edges}
+    of each edge (from the ids of its ends) to the edge.  The vertices are
+    V x {+1, -1} and the edges {(a, s), (b, t)} for each edge {a, b} and
+    signs s, t, where V and the edges are those of L for 'S(L)', and for
+    'S(M)' those of the cover's total space with each vertex (u, g)
+    renamed (u, g h(u)^-1)."""
+    if tag not in Y._models:
+        cover = Y.presentation.cover
+        if tag == "S(L)":
+            K = Y.presentation.L
+            name = {x: x for x in K.vertices}
+        else:
+            K = cover.total
+            name = {(u, g): (u, g * cover.h[u].inverse())
+                    for u, g in K.vertices}
+        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        nodes = frozenset((name[x], s) for x in K.vertices for s in (1, -1))
+        ids = {x: i for i, x in enumerate(nodes)}
+        n, edges = len(ids), {}
+        for a, b in K.edges():
+            for s, t in signs:
+                x, y = (name[a], s), (name[b], t)
+                edges[_edge_id(ids[x], ids[y], n + 1)] = frozenset((x, y))
+        Y._models[tag] = nodes, ids, edges
+    return Y._models[tag]
 
 
 def _link_mismatch(Y, v, link, tag, model):
@@ -522,10 +511,6 @@ def _link_mismatch(Y, v, link, tag, model):
     return None
 
 
-def _injective(Y, j):
-    return len(set(Y.rho[j].values())) == Y.presentation.cover.deck.order
-
-
 def vertex_link(Y, v):
     """(link, tag): the link as adjacency sets over edge-ends
     ((edge, 'up') for edges rising from v, (edge, 'down') for edges
@@ -536,10 +521,10 @@ def vertex_link(Y, v):
     i = Y.vertex_position(v)
     link = _link(Y, i)
     j = v[0]
-    if len(Y.P[j]) == 1 and _link_mismatch(
+    if Y.P[j].order == 1 and _link_mismatch(
             Y, i, link, "S(L)", _model_ids(Y, "S(L)")) is None:
         tag = "S(L)"
-    elif _injective(Y, j) and _link_mismatch(
+    elif Y.P[j].order == Y.presentation.cover.deck.order and _link_mismatch(
             Y, i, link, "S(M)", _model_ids(Y, "S(M)")) is None:
         tag = "S(M)"
     elif j not in Y.presentation.S:
@@ -552,25 +537,24 @@ def vertex_link(Y, v):
 
 
 def _validate_all_links(Y):
-    """Certify the link at the first vertex of each height; translation by
-    Q, asserted during construction, carries it to the other vertices of
+    """Certify the link at the first vertex of each height: against the
+    doubled base at the heights in S, then against the doubled cover total
+    space at the others where rho_j is injective.  Translation by Q,
+    asserted during construction, carries it to the other vertices of
     that height."""
-    S = Y.presentation.S
-    models = {}
-    for j in range(Y.N):
-        v = Y._height_start[j]
-        if j in S:
-            tag, name = "S(L)", "the doubled base"
-        elif _injective(Y, j):
-            tag, name = "S(M)", "the doubled cover total space"
-        else:
+    S, order = Y.presentation.S, Y.presentation.cover.deck.order
+    tags = ["S(L)" if j in S else "S(M)" if Y.P[j].order == order else None
+            for j in range(Y.N)]
+    for tag, name in (("S(L)", "the doubled base"),
+                      ("S(M)", "the doubled cover total space")):
+        if tag not in tags:
             continue
-        if tag not in models:
-            models[tag] = _model_ids(Y, tag)
-        reason = _link_mismatch(Y, v, _link(Y, v), tag, models[tag])
-        if reason is not None:
-            raise InternalError(
-                f"link at {Y.vertices[v]} is not {name}: {reason}")
+        model = _model_ids(Y, tag)
+        for v in (Y._height_start[j] for j, t in enumerate(tags) if t == tag):
+            reason = _link_mismatch(Y, v, _link(Y, v), tag, model)
+            if reason is not None:
+                raise InternalError(
+                    f"link at {Y.vertices[v]} is not {name}: {reason}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 from .covers import build_cover, lifts_to_loop
@@ -58,6 +59,7 @@ class FiniteQuotient:
         self.theta = dict(theta)
         self.mode = mode
         self.certificate = certificate
+        self._rho = {}  # residue j mod the period -> stabilizer_image(self, j)
 
     def __call__(self, edge):
         return self.theta[edge]
@@ -67,6 +69,23 @@ class FiniteQuotient:
         theta is periodic in the exponent with this period.  For an abelian
         target it is the exponent of the subgroup the images generate."""
         return lcm(1, *(g.order() for g in self.theta.values()))
+
+    @cached_property
+    def period(self):
+        """lcm(period of S, orders of the theta images): membership in S,
+        every power product over theta and so every rho_j repeat in j with
+        this period."""
+        return lcm(self.presentation.S.modulus, self.target_exponent())
+
+    def rho(self, j):
+        """(rho_j, its image) as stabilizer_image gives them, evaluated
+        once per residue of j modulo the period and shared by every caller,
+        which must not change them; a rho_j that is not a homomorphism
+        raises on every call."""
+        r = j % self.period
+        if r not in self._rho:
+            self._rho[r] = stabilizer_image(self, r)
+        return self._rho[r]
 
     def __repr__(self):
         return f"FiniteQuotient(mode={self.mode}, target={self.target})"
@@ -219,11 +238,11 @@ def verify_bounded(pres, theta):
     labels = [pres.cover.lift_word(loop) for loop in basis]
     cert = quotient.certificate = CycleCertificate(
         mode="cycle-exact",
-        exponent_window=lcm(pres.S.modulus, quotient.target_exponent()),
+        exponent_window=quotient.period,
         loops_checked=len(basis),
     )
     for j in range(cert.exponent_window):
-        rho = None if j in pres.S else stabilizer_image(quotient, j)[0]
+        rho = None if j in pres.S else quotient.rho(j)[0]
         for loop, label in zip(basis, labels):
             v = power_product([full[e] for e in loop], j)
             if not (v.is_identity() if rho is None else v == rho[label]):
@@ -285,17 +304,15 @@ def _identity_of(quotient):
 
 def kernel_torsion_free(quotient):
     """True iff every torsion catalog element dies nowhere in the kernel:
-    for each residue j outside the exponent set, modulo lcm(period of S,
-    orders of the theta images), a period of every power product, the map
-    rho_j must be injective on the deck group.  Returns (bool, witness)
-    with witness = (j, g), j least, on failure."""
+    for each residue j outside the exponent set, modulo the quotient's
+    period, the map rho_j must be injective on the deck group.  Returns
+    (bool, witness) with witness = (j, g), j least, on failure."""
     pres = quotient.presentation
-    m = lcm(pres.S.modulus, quotient.target_exponent())
     ident = _identity_of(quotient)
-    for j in range(m):
+    for j in range(quotient.period):
         if j in pres.S:
             continue
-        rho, _ = stabilizer_image(quotient, j)
+        rho, _ = quotient.rho(j)
         for g, v in rho.items():
             if v == ident and g != pres.cover.deck.identity:
                 return False, (j, g)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gbbkit
-from gbbkit import cubical, dehn
+from gbbkit import cubical, dehn, quotients
 from gbbkit.cli import main
 
 
@@ -193,12 +193,22 @@ def count_calls(monkeypatch, targets):
     # link tags at the first vertex of each height, one model each
     (["build-complex", "--fixture", "s9-index16", "--wrap", "8"],
      {"vertex_link": 8, "_model_ids": 10}),
+    # rho_j once per residue of the quotient's period, shared by the
+    # torsion check, every complex of the wrap tower and the confirm path
+    (["check-special", "--bits", "1110", "--stabilize"],
+     {"stabilizer_image": 2}),
+    (["check-special", "--fixture", "s9-index16", "--wrap", "8"],
+     {"stabilizer_image": 2}),
+    # and by the relator check and both torsion checks of a recipe
+    (["recipe", "--kind", "wreath", "--r", "12", "--n", "3"],
+     {"stabilizer_image": 2}),
 ])
 def test_each_fact_is_computed_once(runner, monkeypatch, args, want):
     counts = count_calls(monkeypatch, [
         (cubical.QuotientCubeComplex, "__init__"),
         (cubical, "specialness"), (cubical, "hyperplanes"),
-        (cubical, "vertex_link"), (cubical, "_model_ids")])
+        (cubical, "vertex_link"), (cubical, "_model_ids"),
+        (quotients, "stabilizer_image")])
     res = run(runner, *args)
     assert res.exit_code in (0, 1), res.output
     assert {name: counts[name] for name in want} == want
@@ -388,6 +398,26 @@ def test_wrap_must_be_positive(runner):
         res = run(runner, "build-complex", "--bits", "1000", "--wrap", wrap)
         assert res.exit_code == 2
         assert "positive multiple" in res.output
+
+
+def test_default_wrap_is_the_theta_order_period(runner, tmp_path):
+    """Target Z/4 with theta(w,x) of order 2: the quotient's period is
+    lcm(2, 2) = 2, and both verbs run at that default wrap, which the
+    builder used to reject against lcm(period(S), exponent(Q)) = 4."""
+    spec = {"target": {"kind": "abelian", "factors": [4]},
+            "theta": {"w,x": [2], "x,y": [0], "y,z": [0], "z,w": [0]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = run(runner, "verify-quotient", "--quotient", str(path))
+    assert res.exit_code == 0, res.output
+    for verb, code in (("check-special", 1), ("build-complex", 0)):
+        res = run(runner, verb, "--quotient", str(path), "--json")
+        assert res.exit_code == code, res.output
+        assert envelope(res)["inputs"]["wrap"] == 2
+        res = run(runner, verb, "--quotient", str(path), "--wrap", "3")
+        assert res.exit_code == 2
+        assert ("wrap N=3 must be a positive multiple of lcm(period(S), "
+                "orders of the theta images) = 2") in res.output
 
 
 def test_zero_wrap_is_rejected(runner):

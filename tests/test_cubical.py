@@ -11,11 +11,12 @@ from gbbkit.cubical import (build_quotient, cylinder_classes, cylinders,
                             orbit_characterization_holds, shift_stable_period,
                             specialness, vertical_shift_permutation)
 from gbbkit.errors import CubicalError
-from gbbkit.fixtures import (single_edge_trivial, square_index16_quotient,
-                             square_presentation, square_quotient_bits,
-                             triple_cover_presentation, triple_cover_quotient)
-from gbbkit.groups import subgroup_closure
-from gbbkit.quotients import kernel_torsion_free
+from gbbkit.fixtures import (SQUARE_EDGES, single_edge_trivial,
+                             square_index16_quotient, square_presentation,
+                             square_quotient_bits, triple_cover_presentation,
+                             triple_cover_quotient)
+from gbbkit.groups import AbelianGroup, subgroup_closure
+from gbbkit.quotients import kernel_torsion_free, verify_abelian_exact
 
 
 def counts_by_label(rep):
@@ -49,6 +50,17 @@ def test_wrap_must_be_multiple_of_base_period():
     pres = square_presentation()  # S = 2Z, C2 target: base period 2
     with pytest.raises(CubicalError):
         build_quotient(pres, square_quotient_bits((1, 0, 0, 0)), 3)
+    # Z/4 target, theta(a) of order 2: the period is lcm(2, 2) = 2, not
+    # lcm(2, exponent(Q)) = 4
+    Z4 = AbelianGroup((4,))
+    q = verify_abelian_exact(pres, Z4, {
+        SQUARE_EDGES[name]: Z4.element((2 if name == "a" else 0,))
+        for name in "abcd"})
+    assert q.period == 2
+    for N in (2, 4):
+        assert build_quotient(pres, q, N).N == N
+    with pytest.raises(CubicalError, match="positive multiple .* = 2$"):
+        build_quotient(pres, q, 3)
 
 
 def test_torsion_free_guard():

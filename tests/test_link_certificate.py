@@ -210,9 +210,10 @@ def test_perturbed_tau_names_link_edge():
 def test_dropped_doubled_edge_names_link_edge():
     Y = build_quotient(square_presentation(),
                        square_quotient_bits((1, 0, 0, 0)), 2)
-    nodes, edges = cubical._doubled(Y, "S(L)")
+    nodes, ids, edges = cubical._model_ids(Y, "S(L)")
     dropped = frozenset({("w", 1), ("x", -1)})
-    Y._link_models["S(L)"] = (nodes, edges - {dropped})
+    Y._models["S(L)"] = (nodes, ids,
+                         {i: e for i, e in edges.items() if e != dropped})
     with pytest.raises(InternalError,
                        match=r"link at \(0, .*\) is not the doubled base: "
                              r"link edge .* maps to .* not an edge of S\(L\)"):
@@ -224,10 +225,11 @@ def test_dropped_doubled_edge_names_link_edge():
 def test_extra_doubled_edge_names_missing_link_edge():
     Y = build_quotient(square_presentation(),
                        square_quotient_bits((1, 0, 0, 0)), 2)
-    nodes, edges = cubical._doubled(Y, "S(L)")
+    nodes, ids, edges = cubical._model_ids(Y, "S(L)")
     # w and y are opposite corners of the square base
-    Y._link_models["S(L)"] = (nodes, edges | {frozenset({("w", 1),
-                                                         ("y", 1)})})
+    extra = cubical._edge_id(ids[("w", 1)], ids[("y", 1)], len(ids) + 1)
+    Y._models["S(L)"] = (nodes, ids, {
+        **edges, extra: frozenset({("w", 1), ("y", 1)})})
     with pytest.raises(InternalError,
                        match=r"no link edge \(E\(j=0,w,.*'up'\) -- "
                              r"\(E\(j=0,y,.*'up'\) over the edge "

@@ -181,6 +181,18 @@ def test_wreath_quotients_match_reference(wreaths):
         assert row == (n, {2: 6, 3: 18}[n], (True, None))
 
 
+def test_rho_is_one_stabilizer_image_per_residue(wreaths):
+    """q.rho(j) is stabilizer_image(q, j), evaluated once per residue of
+    j modulo the quotient's period and shared after that."""
+    family = abelian_quotients() + [res.quotient for res in wreaths.values()]
+    for q in family:
+        period = q.period
+        assert period == lcm(q.presentation.S.modulus, q.target_exponent())
+        for j in range(2 * period):
+            assert q.rho(j) == stabilizer_image(q, j)
+            assert q.rho(j + period) is q.rho(j)
+
+
 def test_faithful_representation_keeps_the_exponent(wreaths):
     values = list(wreaths[(4, 2)].quotient.theta.values())
     for a in values:
@@ -212,6 +224,10 @@ def test_homomorphism_failure_names_a_generator():
     swap = q.presentation.cover.deck.generators[0]
     assert str(err.value).endswith(
         f",{swap}): theta is not a verified quotient")
+    # a failure is not kept: every call raises it again
+    for _ in range(2):
+        with pytest.raises(QuotientError, match=r"rho_1 is not a homom"):
+            bad.rho(1 + bad.period)
 
 
 def test_quotient_path_builds_no_subgroup(monkeypatch, wreaths):
