@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .errors import GroupError
 from .intsets import PeriodicSet
@@ -56,10 +56,10 @@ class Permutation:
         return self.images[x]
 
     def __mul__(self, other):
-        if self.size != other.size:
+        images, others = self.images, other.images
+        if len(images) != len(others):
             raise GroupError("permutation size mismatch")
-        images = self.images
-        return Permutation._unchecked(tuple(images[i] for i in other.images))
+        return Permutation._unchecked(tuple(map(images.__getitem__, others)))
 
     def inverse(self):
         inv = [0] * self.size
@@ -80,7 +80,7 @@ class Permutation:
         return out
 
     def is_identity(self):
-        return all(v == i for i, v in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def identity_like(self):
         return Permutation.identity(self.size)
@@ -139,12 +139,21 @@ class AbelianElement:
             self, "coords", tuple(c % f for c, f in zip(self.coords, self.factors))
         )
 
+    @classmethod
+    def _unchecked(cls, factors, coords):
+        """An element from coordinates already reduced modulo their
+        factors: products skip the reduction of the constructor."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "factors", factors)
+        object.__setattr__(a, "coords", coords)
+        return a
+
     def __mul__(self, other):
-        if self.factors != other.factors:
+        factors = self.factors
+        if factors != other.factors:
             raise GroupError("mixed abelian parents")
-        return AbelianElement(
-            self.factors, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        return AbelianElement._unchecked(factors, tuple(
+            (a + b) % f for a, b, f in zip(self.coords, other.coords, factors)))
 
     def __add__(self, other):
         return self * other
@@ -226,6 +235,15 @@ class WreathElement:
         object.__setattr__(self, "rotor", self.rotor % n)
 
     @classmethod
+    def _unchecked(cls, base, rotor):
+        """An element from a nonempty base and a rotor already reduced
+        modulo its length: products skip the constructor."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "base", base)
+        object.__setattr__(w, "rotor", rotor)
+        return w
+
+    @classmethod
     def rho(cls, n, degree):
         return cls(tuple(Permutation.identity(degree) for _ in range(n)), 1)
 
@@ -244,18 +262,20 @@ class WreathElement:
         return self.base[0].size
 
     def __mul__(self, other):
-        if self.n != other.n or self.degree != other.degree:
+        base, others = self.base, other.base
+        n, r = len(base), self.rotor
+        if n != len(others) or base[0].size != others[0].size:
             raise GroupError("mixed wreath parents")
-        r = self.rotor
-        new_base = tuple(
-            self.base[i] * other.base[(i - r) % self.n] for i in range(self.n)
-        )
-        return WreathElement(new_base, r + other.rotor)
+        # position i of the product is base[i] * other.base[i - r]
+        shifted = others[n - r:] + others[:n - r]
+        return WreathElement._unchecked(
+            tuple(map(Permutation.__mul__, base, shifted)),
+            (r + other.rotor) % n)
 
     def inverse(self):
         r = self.rotor
         inv = tuple(self.base[(i + r) % self.n].inverse() for i in range(self.n))
-        return WreathElement(inv, -r)
+        return WreathElement._unchecked(inv, -r % self.n)
 
     def __pow__(self, k):
         if k < 0:
@@ -273,19 +293,15 @@ class WreathElement:
         return self.rotor == 0 and all(p.is_identity() for p in self.base)
 
     def identity_like(self):
-        return WreathElement(
-            tuple(Permutation.identity(self.degree) for _ in range(self.n)), 0
-        )
+        return WreathElement._unchecked(
+            (Permutation.identity(self.degree),) * self.n, 0)
 
     def order(self):
-        k = 1
-        acc = self
-        while not acc.is_identity():
-            acc = acc * self
-            k += 1
-            if k > 10 ** 6:
-                raise GroupError("order computation exceeded bound")
-        return k
+        """k = n / gcd(n, rotor) is the order of the rotor, so w^k lies in
+        the base group and the order of w is k times the lcm of the orders
+        of the entries of w^k."""
+        k = self.n // gcd(self.n, self.rotor)
+        return k * lcm(1, *(p.order() for p in (self ** k).base))
 
     def parent_key(self):
         return ("wreath", self.degree, self.n)
@@ -347,15 +363,53 @@ def power_product(elements, j):
     return out
 
 
+_TABLE_BOUND = 10 ** 6
+
+
+def _power_table(g):
+    """The cyclic table g^0, g^1, ..., g^(o-1) by repeated multiplication;
+    it stops where the powers return to the identity, so its length is
+    the order o of g.  Raises on an order above _TABLE_BOUND."""
+    table = [g.identity_like()]
+    acc = g
+    while not acc.is_identity():
+        table.append(acc)
+        if len(table) > _TABLE_BOUND:
+            raise GroupError("order computation exceeded bound")
+        acc = acc * g
+    return table
+
+
 def r_set(elements):
     """The set of integers j with g1^j ... gl^j = 1, as a periodic set.
 
-    The set is a union of residue classes modulo the exponent of the group
-    generated by the list, so evaluating one full period decides it.
+    The set is a union of residue classes modulo m, the lcm of the orders
+    of the elements, so one period decides it.  Each distinct element of
+    order above 1 gets its power table, and the product at residue j reads
+    g^j off the table of g at j modulo its length: no power is computed
+    twice.
     """
-    m = lcm(1, *(g.order() for g in elements))
-    residues = frozenset(j for j in range(m) if power_product(elements, j).is_identity())
-    return PeriodicSet(m, residues)
+    if not elements:
+        raise GroupError("empty element list")
+    index = {}
+    positions = [index.setdefault(g, len(index)) for g in elements]
+    keys = {g.parent_key() for g in index}
+    if len(keys) > 1:
+        raise GroupError(f"mixed parent groups: {keys}")
+    tables = [_power_table(g) for g in index]
+    rows = [tables[i] for i in positions if len(tables[i]) > 1]
+    m = lcm(1, *(len(t) for t in rows))
+    residues = {0}
+    for j in range(1, m):
+        # g^j is the identity where j is a multiple of the order of g
+        acc = None
+        for t in rows:
+            i = j % len(t)
+            if i:
+                acc = t[i] if acc is None else acc * t[i]
+        if acc.is_identity():
+            residues.add(j)
+    return PeriodicSet(m, frozenset(residues))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,8 @@ class GbbPresentation:
 
 def _canonical_rotation(loop, rank):
     """The rotation with the least rank tuple; no edge repr is a proper
-    prefix of another, so it is the rotation with the least repr."""
+    prefix of another, so it is the rotation with the least repr.  It
+    starts with a least-rank edge of the loop."""
     keys = [rank[e] for e in loop]
     i = min(range(len(loop)), key=lambda i: keys[i:] + keys[:i])
     return loop[i:] + loop[:i]
@@ -83,14 +84,24 @@ def loops_upto(L, max_len, reduced=False):
     cyclic rotation, sorted by repr.  With ``reduced`` set, only cyclically
     reduced loops (no backtracking, including across the wrap) are
     produced; power products over a loop are invariant under inserting
-    backtracks, so the reduced family decides any property of that kind."""
-    out = set()
-    nbrs = {v: L.neighbors(v) for v in L.vertices}
-    # vertex names may mix types (strings, tuples), so rank edges by repr
-    rank = {e: i for i, e in enumerate(sorted(L.directed_edges(), key=repr))}
+    backtracks, so the reduced family decides any property of that kind.
 
-    def extend(path, start, current):
-        if path and current == start:
+    The canonical rotation of a loop starts with a least-rank edge e0, so
+    each loop is searched for once per occurrence of e0 only: from e0,
+    through edges of rank at least rank(e0)."""
+    if max_len < 1:
+        return []
+    out = set()
+    # vertex names may mix types (strings, tuples), so rank edges by repr
+    edges = sorted(L.directed_edges(), key=repr)
+    rank = {e: i for i, e in enumerate(edges)}
+    # out-edges of each vertex as (rank, head), ascending
+    nbrs = {v: [] for v in L.vertices}
+    for i, (u, w) in enumerate(edges):
+        nbrs[u].append((i, w))
+
+    def extend(path, start, current, least):
+        if current == start:
             loop = tuple(path)
             if not (reduced and len(loop) > 1
                     and loop[-1] == (loop[0][1], loop[0][0])):
@@ -98,15 +109,16 @@ def loops_upto(L, max_len, reduced=False):
             # a closed prefix can still be extended into a longer loop
         if len(path) == max_len:
             return
-        for w in nbrs[current]:
-            if reduced and path and (current, w) == (path[-1][1], path[-1][0]):
+        back = (path[-1][1], path[-1][0]) if reduced else None
+        for i, w in nbrs[current]:
+            if i < least or (current, w) == back:
                 continue
             path.append((current, w))
-            extend(path, start, w)
+            extend(path, start, w, least)
             path.pop()
 
-    for v in L.vertices:
-        extend([], v, v)
+    for i, (u, w) in enumerate(edges):
+        extend([(u, w)], u, w, i)
     return sorted(out, key=repr)
 
 

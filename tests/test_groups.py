@@ -1,5 +1,6 @@
 """Group layer: permutations, wreath products, commutators, detectors."""
 
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbbkit.errors import GroupError
-from gbbkit.groups import (AbelianGroup, Permutation, PermutationGroup,
-                           TupleElement, WreathElement, build_pqrs,
+from gbbkit.groups import (AbelianElement, AbelianGroup, Permutation,
+                           PermutationGroup, TupleElement, WreathElement,
+                           build_pqrs,
                            ore_commutator, power_product, r_set,
                            subgroup_closure, symmetric_group)
 
@@ -33,7 +35,9 @@ def test_malformed_images_raise():
 def test_unchecked_results_equal_checked_ones():
     """Products, inverses and powers skip the constructor's check; over
     S_4 each equals the permutation the checked constructor builds from
-    its images."""
+    its images.  Wreath products over S_3 wr C_3 and abelian products over
+    Z/4 x Z/6 skip their constructors too, and equal, with equal hashes,
+    what the checked constructors build from their fields."""
     group = list(symmetric_group(4))
     for p in group:
         for q in group:
@@ -48,6 +52,49 @@ def test_unchecked_results_equal_checked_ones():
             assert power == Permutation(power.images)
             assert hash(power) == hash(Permutation(power.images))
         assert p ** 0 == Permutation.identity(4) == Permutation((0, 1, 2, 3))
+
+    # wreath products over S_3 wr C_3: every element times a seeded sample
+    s3 = list(symmetric_group(3))
+    wreath = [WreathElement(base, rotor)
+              for base in itertools.product(s3, repeat=3)
+              for rotor in range(3)]
+    rng = random.Random(5)
+    for w in rng.sample(wreath, 12):
+        for v in wreath:
+            for product in (w * v, v * w):
+                checked = WreathElement(product.base, product.rotor)
+                assert product == checked and hash(product) == hash(checked)
+                assert 0 <= product.rotor < 3
+        inverse = w.inverse()
+        assert inverse == WreathElement(inverse.base, inverse.rotor)
+        assert (w * inverse).is_identity()
+    w = wreath[-1]
+    assert (w * w).base == tuple(
+        w.base[i] * w.base[(i - w.rotor) % 3] for i in range(3))
+
+    # abelian products over Z/4 x Z/6: every pair
+    group = list(AbelianGroup((4, 6)).elements())
+    for a in group:
+        for b in group:
+            product = a * b
+            checked = AbelianElement((4, 6), product.coords)
+            assert product == checked and hash(product) == hash(checked)
+            assert product.coords == ((a.coords[0] + b.coords[0]) % 4,
+                                      (a.coords[1] + b.coords[1]) % 6)
+
+    # mismatched sizes, degrees and factors still raise
+    mismatched = [
+        (Permutation.identity(3), Permutation.identity(4),
+         "permutation size mismatch"),
+        (wreath[0], WreathElement.rho(2, 3), "mixed wreath parents"),
+        (wreath[0], WreathElement.rho(3, 4), "mixed wreath parents"),
+        (group[0], AbelianGroup((6, 4)).identity(), "mixed abelian parents"),
+        (group[0], AbelianGroup((4,)).identity(), "mixed abelian parents"),
+    ]
+    for a, b, message in mismatched:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(GroupError, match=message):
+                x * y
 
 
 def test_composition_is_functional():

@@ -528,10 +528,14 @@ def reference_loops_upto(L, max_len, reduced=False):
 
 def rotation_cases():
     """(complex, bound, reduced).  The rose subdivisions have mixed vertex
-    names: the rose vertex and tuples for the subdivision points."""
+    names: the rose vertex and tuples for the subdivision points.  The
+    reduced bound 3r at r in {4, 6, 8, 12} is the one the wreath workloads
+    enumerate."""
     for r in range(4, 13):
         rose = subdivide_graph_edges(rose_graph(2), r).complex
         yield rose, 2 * r, True
+        if r in (4, 6, 8, 12):
+            yield rose, 3 * r, True
         yield rose, 8, False
     for K in (square_complex(), annulus_complex()):
         yield K, 8, True
