@@ -127,25 +127,23 @@ def _resolve_quotient(fixture, bits, quotient_file):
 
 
 def _cell_dump(Y):
+    # Y.vertices are in sorted order: heights ascend, and each height's
+    # cosets are named by their least elements, in index order
     verts = [{"id": i, "height": j, "coset": repr(r)}
-             for i, (j, r) in enumerate(sorted(Y.vertices))]
-    vid = {v: i for i, v in enumerate(sorted(Y.vertices))}
+             for i, (j, r) in enumerate(Y.vertices)]
     edges = [
         {
-            "id": i,
+            "id": p,
             "height": e.j,
             "label": str(e.label),
             "coord": list(e.q.coords),
-            "bottom": vid[Y.bottom(e)],
-            "top": vid[Y.top(e)],
+            "bottom": Y._bottom[p],
+            "top": Y._top[p],
         }
-        for i, e in enumerate(Y.edges)
+        for p, e in enumerate(Y.edges)
     ]
-    eid = {e: i for i, e in enumerate(Y.edges)}
-    squares = [
-        {"id": i, "sides": [eid[s] for s in sq.sides()]}
-        for i, sq in enumerate(Y.squares)
-    ]
+    squares = [{"id": s, "sides": list(sides)}
+               for s, sides in enumerate(Y._sides)]
     return {"vertices": verts, "edges": edges, "squares": squares}
 
 

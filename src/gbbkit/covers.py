@@ -10,10 +10,11 @@ fibers.  A loop downstairs lifts to a loop exactly when the ordered
 product of its labels is the identity.
 
 The cover object also carries the base-lift bookkeeping that later
-constructions need: a spanning tree with path words w_u to each vertex,
-loop words gamma_g realizing every deck element as the endpoint of a
-lifted loop, and the deck elements eta(u, u') describing where the edge
-lift at the chosen lifts lands.
+constructions need: a spanning tree with path words w_u to each vertex
+and its fundamental cycles, one per non-tree edge, loop words gamma_g
+realizing every deck element as the endpoint of a lifted loop, and the
+deck elements eta(u, u') describing where the edge lift at the chosen
+lifts lands, which are also the deck labels of the fundamental cycles.
 """
 
 from __future__ import annotations
@@ -21,23 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CoverError
-from .groups import PermutationGroup, subgroup_closure
+from .groups import subgroup_closure
 from .simplicial import SimplicialComplex, SimplicialMap
-
-DeckGroup = PermutationGroup
 
 
 class RegularCover:
     def __init__(self, base, deck, labelling, base_vertex, total, h, path_words,
-                 loop_words, eta, connected, monodromy):
+                 cycle_basis, loop_words, eta, connected, monodromy):
         self.base = base
         self.deck = deck
         self.labelling = labelling  # (u, u') -> deck element, both directions
         self.base_vertex = base_vertex
         self.total = total
-        self.chosen_lifts = {u: (u, h[u]) for u in base.vertices}
         self.h = h  # u -> deck element of the chosen lift
         self.path_words = path_words  # u -> tuple of directed edges, v0 -> u
+        # non-tree edge (a, b) -> its fundamental cycle, deck label eta[(a, b)]
+        self.cycle_basis = cycle_basis
         self.loop_words = loop_words  # deck element -> tuple of directed edges
         self.eta = eta  # (u, u') -> deck element
         self.connected = connected
@@ -46,15 +46,11 @@ class RegularCover:
     def label(self, u, v):
         return self.labelling[(u, v)]
 
-    def lift_step(self, u, g, v):
-        """Walk the lift of edge (u, v) starting at fiber point g."""
-        return g * self.label(u, v)
-
     def lift_word(self, word, start=None):
         """Endpoint fiber element of the lift of a directed edge word."""
         g = self.deck.identity if start is None else start
         for (u, v) in word:
-            g = self.lift_step(u, g, v)
+            g = g * self.labelling[(u, v)]
         return g
 
     def __repr__(self):
@@ -109,8 +105,8 @@ def _check_word(L, word, closed=False):
 def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
     """Assemble the cover: total space, connectivity (with the monodromy
     subgroup as the certificate of failure), spanning-tree lifts, path
-    words, loop words for every deck element, and the edge-transport
-    elements eta."""
+    words and fundamental cycles, loop words for every deck element, and
+    the edge-transport elements eta."""
     if base_vertex not in L.vertices:
         raise CoverError(f"unknown base vertex {base_vertex}")
     if not L.is_connected:
@@ -118,7 +114,6 @@ def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
     full = _complete_labelling(L, labelling, deck)
 
     deck_elems = list(deck)
-    deck_pos = {g: i for i, g in enumerate(deck_elems)}
 
     # total-space simplices: the lift of a simplex through fiber point g
     # places vertex w at g * label(u0, w) for the least vertex u0; this is
@@ -148,45 +143,45 @@ def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
     ident = deck.identity
     start = (base_vertex, ident)
     reach_word = {start: ()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for (u, g) in frontier:
-            for w in L.neighbors(u):
-                tgt = (w, g * full[(u, w)])
-                if tgt not in reach_word:
-                    reach_word[tgt] = reach_word[(u, g)] + ((u, w),)
-                    nxt.append(tgt)
-        frontier = nxt
+    reached = [start]
+    for (u, g) in reached:
+        for w in L.neighbors(u):
+            tgt = (w, g * full[(u, w)])
+            if tgt not in reach_word:
+                reach_word[tgt] = reach_word[(u, g)] + ((u, w),)
+                reached.append(tgt)
     connected = len(reach_word) == len(total_vertices)
 
-    # monodromy: subgroup generated by spanning-tree-normalized labels
-    tree_parent = {base_vertex: None}
-    order = [base_vertex]
-    frontier = [base_vertex]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in L.neighbors(u):
-                if w not in tree_parent:
-                    tree_parent[w] = u
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
+    # spanning tree, breadth first from the base vertex: path words, tree
+    # edges and chosen lifts h(u) = h(parent) * label(parent, u)
     path_words = {base_vertex: ()}
-    for u in order[1:]:
-        p = tree_parent[u]
-        path_words[u] = path_words[p] + ((p, u),)
-    h = {}
+    h = {base_vertex: ident}
+    tree = set()
+    order = [base_vertex]
     for u in order:
-        g = ident
-        for (a, b) in path_words[u]:
-            g = g * full[(a, b)]
-        h[u] = g
-    mono_gens = []
+        for w in L.neighbors(u):
+            if w not in path_words:
+                path_words[w] = path_words[u] + ((u, w),)
+                h[w] = h[u] * full[(u, w)]
+                tree.add(frozenset((u, w)))
+                order.append(w)
+    # eta(a, b) = h(a) label(a, b) h(b)^-1 is the deck label of the lift of
+    # path(a) + (a, b) + path(b)^-1, the fundamental cycle of a non-tree
+    # edge; the cycles generate the fundamental group freely
+    eta = {}
+    for (a, b) in L.directed_edges():
+        eta[(a, b)] = h[a] * full[(a, b)] * h[b].inverse()
+    cycle_basis = {}
     for e in L.edges():
-        a, b = tuple(e)
-        mono_gens.append(h[a] * full[(a, b)] * h[b].inverse())
+        if e not in tree:
+            a, b = sorted(e, key=L.vertex_position)
+            cycle_basis[(a, b)] = (
+                path_words[a] + ((a, b),)
+                + tuple((y, x) for (x, y) in reversed(path_words[b]))
+            )
+
+    # monodromy: subgroup generated by spanning-tree-normalized labels
+    mono_gens = [eta[tuple(e)] for e in L.edges()]
     monodromy = subgroup_closure(mono_gens, identity=ident)
     if not connected and not allow_disconnected:
         raise CoverError(
@@ -203,13 +198,9 @@ def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
     if connected and len(loop_words) != deck.order:
         raise CoverError("internal: loop words incomplete on a connected cover")
 
-    eta = {}
-    for (a, b) in L.directed_edges():
-        eta[(a, b)] = h[a] * full[(a, b)] * h[b].inverse()
-
     return RegularCover(
-        L, deck, full, base_vertex, total, h, path_words, loop_words, eta,
-        connected, monodromy,
+        L, deck, full, base_vertex, total, h, path_words, cycle_basis,
+        loop_words, eta, connected, monodromy,
     )
 
 

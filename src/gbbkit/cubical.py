@@ -230,13 +230,7 @@ class QuotientCubeComplex:
         for j in range(N):
             if j in S and self.P[j].order != 1:
                 raise InternalError("P_j nontrivial at a height in S")
-        self.tau = {}
-        ident = self.Q.identity()
-        for u in L.vertices:
-            val = ident
-            for e in cover.path_words[u]:
-                val = val * quotient.theta[e]
-            self.tau[u] = val
+        self.tau = quotient.tau
         self._tau_shift = [_translation(factors, self.tau[u].coords)
                            for u in L.vertices]
 
@@ -340,11 +334,10 @@ class QuotientCubeComplex:
         return Edge(e.j, e.label, e.q * q)
 
     def counts(self):
-        per_height_vertices = {}
-        for (j, _) in self.vertices:
-            per_height_vertices[j] = per_height_vertices.get(j, 0) + 1
+        start = self._height_start
         return {
-            "vertices_per_height": per_height_vertices,
+            "vertices_per_height": {j: start[j + 1] - start[j]
+                                    for j in range(self.N)},
             "edges": len(self.edges),
             "squares": len(self.squares),
         }

@@ -87,6 +87,30 @@ class FiniteQuotient:
             self._rho[r] = stabilizer_image(self, r)
         return self._rho[r]
 
+    @cached_property
+    def identity(self):
+        """The identity of the target: read off the target when it is an
+        abelian group, otherwise off a theta value."""
+        if isinstance(self.target, AbelianGroup):
+            return self.target.identity()
+        for g in self.theta.values():
+            return g.identity_like()
+        raise QuotientError("theta has no value to name the target identity")
+
+    @cached_property
+    def tau(self):
+        """The theta-potentials: u -> the theta product along the cover's
+        path word to u, one product per spanning-tree vertex (the path
+        words list each parent first, and end with the tree edge from it).
+        A fundamental cycle through (a, b) has theta value
+        tau(a) theta(a, b) tau(b)^-1."""
+        cover = self.presentation.cover
+        tau = {cover.base_vertex: self.identity}
+        for u, word in cover.path_words.items():
+            if word:
+                tau[u] = tau[word[-1][0]] * self.theta[word[-1]]
+        return tau
+
     def __repr__(self):
         return f"FiniteQuotient(mode={self.mode}, target={self.target})"
 
@@ -112,30 +136,6 @@ def _complete_theta(pres, theta):
         if key not in full:
             raise QuotientError(f"theta on non-edge {key}")
     return full
-
-
-def _cycle_basis(pres):
-    """Loops built from the cover's spanning tree: one per non-tree edge,
-    path-to-u + edge + reversed path-to-v.  They generate the fundamental
-    group at the base vertex freely, so a homomorphism out of it is
-    decided on them."""
-    cover = pres.cover
-    tree_edges = set()
-    for u, word in cover.path_words.items():
-        for (a, b) in word:
-            tree_edges.add(frozenset((a, b)))
-    basis = []
-    for e in pres.L.edges():
-        if e in tree_edges:
-            continue
-        a, b = sorted(e, key=pres.L.vertex_position)
-        loop = (
-            cover.path_words[a]
-            + ((a, b),)
-            + tuple((y, x) for (x, y) in reversed(cover.path_words[b]))
-        )
-        basis.append(loop)
-    return basis
 
 
 def _label_kernel_generators(labels):
@@ -185,12 +185,15 @@ def verify_abelian_exact(pres: GbbPresentation, target: AbelianGroup, theta):
           n-in-S relator family, which is closed under the shifts by d).
     Returns the verified quotient."""
     full = _complete_theta(pres, theta)
-    basis = _cycle_basis(pres)
-    labels = [pres.cover.lift_word(loop) for loop in basis]
-    values = [_word_value(full, loop, target) for loop in basis]
-    cert = AbelianExactCertificate(
+    cover = pres.cover
+    quotient = FiniteQuotient(pres, target, full, "abelian-exact", None)
+    tau = quotient.tau
+    labels = [cover.eta[e] for e in cover.cycle_basis]
+    values = [tau[a] * full[(a, b)] * tau[b].inverse()
+              for (a, b) in cover.cycle_basis]
+    cert = quotient.certificate = AbelianExactCertificate(
         mode="abelian-exact",
-        basis_loops=basis,
+        basis_loops=list(cover.cycle_basis.values()),
         basis_labels=labels,
         kernel_generators=_label_kernel_generators(labels),
         d=gcd_of_set(pres.S),
@@ -204,7 +207,7 @@ def verify_abelian_exact(pres: GbbPresentation, target: AbelianGroup, theta):
         if not ok:
             cert.passed = False
     d = cert.d
-    for loop, v in zip(basis, values):
+    for loop, v in zip(cert.basis_loops, values):
         ok = (v ** d).is_identity()
         cert.checks.append(("exponent-family", loop, ok))
         if not ok:
@@ -212,14 +215,7 @@ def verify_abelian_exact(pres: GbbPresentation, target: AbelianGroup, theta):
     if not cert.passed:
         bad = [c for c in cert.checks if not c[-1]]
         raise QuotientError(f"theta does not kill the relators: {bad[:3]}")
-    return FiniteQuotient(pres, target, full, "abelian-exact", cert)
-
-
-def _word_value(full_theta, word, target):
-    out = target.identity()
-    for e in word:
-        out = out * full_theta[e]
-    return out
+    return quotient
 
 
 def verify_bounded(pres, theta):
@@ -234,18 +230,18 @@ def verify_bounded(pres, theta):
     is kept for perfbench's tracer, which wraps the function by it."""
     full = _complete_theta(pres, theta)
     quotient = FiniteQuotient(pres, None, full, "cycle-exact", None)
-    basis = _cycle_basis(pres)
-    labels = [pres.cover.lift_word(loop) for loop in basis]
+    cover = pres.cover
     cert = quotient.certificate = CycleCertificate(
         mode="cycle-exact",
         exponent_window=quotient.period,
-        loops_checked=len(basis),
+        loops_checked=len(cover.cycle_basis),
     )
     for j in range(cert.exponent_window):
         rho = None if j in pres.S else quotient.rho(j)[0]
-        for loop, label in zip(basis, labels):
+        for edge, loop in cover.cycle_basis.items():
             v = power_product([full[e] for e in loop], j)
-            if not (v.is_identity() if rho is None else v == rho[label]):
+            if not (v.is_identity() if rho is None
+                    else v == rho[cover.eta[edge]]):
                 cert.failures.append((loop, j))
     if cert.failures:
         raise QuotientError(
@@ -272,7 +268,7 @@ def stabilizer_image(quotient, j):
     edge label."""
     cover = quotient.presentation.cover
     power = {}                               # edge -> theta(e)^j
-    value = [_identity_of(quotient)]         # tree vertex -> its product
+    value = [quotient.identity]              # tree vertex -> its product
     child = {}                               # (tree vertex, edge) -> vertex
     rho = {}
     for g, word in cover.loop_words.items():
@@ -297,18 +293,13 @@ def stabilizer_image(quotient, j):
     return rho, Subgroup(values[0].parent_key(), values, frozenset(values))
 
 
-def _identity_of(quotient):
-    some = next(iter(quotient.theta.values()))
-    return some.identity_like()
-
-
 def kernel_torsion_free(quotient):
     """True iff every torsion catalog element dies nowhere in the kernel:
     for each residue j outside the exponent set, modulo the quotient's
     period, the map rho_j must be injective on the deck group.  Returns
     (bool, witness) with witness = (j, g), j least, on failure."""
     pres = quotient.presentation
-    ident = _identity_of(quotient)
+    ident = quotient.identity
     for j in range(quotient.period):
         if j in pres.S:
             continue

@@ -380,6 +380,15 @@ def test_families_are_complete():
     assert (len(SMALL), len(LARGE)) == (261, 33)
 
 
+def test_vertices_are_sorted():
+    """The cell dump numbers vertices by their positions, which is their
+    sorted order: heights ascend, and each coset is named by its least
+    element, the first one met in index order."""
+    for name, pres, q, N in SMALL:
+        Y = build_quotient(pres, q, N, validate_links=False)
+        assert Y.vertices == sorted(Y.vertices), name
+
+
 # --- differential tests ------------------------------------------------------
 
 

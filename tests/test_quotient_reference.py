@@ -15,7 +15,10 @@ takes the Schreier generators of one breadth-first walk, which must span
 the same lattice.  Relators over any target were checked on every reduced
 loop up to a length window; the library now decides them exactly on the
 fundamental cycles of the cover, and must agree with the window wherever
-the window reaches far enough."""
+the window reaches far enough.  Those cycles were rebuilt from the path
+words by each check, and the theta-potentials walked along every path
+word by the cube builder; the cover now keeps the cycles, labelled by
+eta, and the quotient its potentials, which must equal the rebuilt ones."""
 
 import functools
 import itertools
@@ -26,7 +29,7 @@ from math import lcm
 import pytest
 
 from gbbkit import groups
-from gbbkit.covers import build_cover, lifts_to_loop
+from gbbkit.covers import RegularCover, build_cover, lifts_to_loop
 from gbbkit.errors import QuotientError
 from gbbkit.fixtures import (SQUARE_EDGES, annulus_complex, cycle_complex,
                              rose_graph, rose_wreath_recipe,
@@ -38,7 +41,7 @@ from gbbkit.groups import (AbelianElement, AbelianGroup, Permutation,
                            power_product, subgroup_closure)
 from gbbkit.intsets import PeriodicSet
 from gbbkit.presentation import GbbPresentation, loops_upto
-from gbbkit.quotients import (FiniteQuotient, _complete_theta, _cycle_basis,
+from gbbkit.quotients import (FiniteQuotient, _complete_theta,
                               _label_kernel_generators, cocycle_recipe,
                               hw_product_quotient, kernel_torsion_free,
                               stabilizer_image, verify_abelian_exact,
@@ -285,6 +288,78 @@ def test_stabilizer_image_takes_one_product_per_tree_vertex(monkeypatch):
         assert (rho, image) == reference_stabilizer_image(q, j)
 
 
+# --- the spanning-tree oracles ----------------------------------------------------
+
+
+def reference_cycle_basis(pres):
+    """The fundamental cycles as the relator checks built them: the tree
+    edges read back off the path words, then one loop per non-tree edge
+    (a, b), a before b by vertex position, path-to-a + (a, b) + reversed
+    path-to-b, in the base's edge order."""
+    cover = pres.cover
+    tree_edges = set()
+    for u, word in cover.path_words.items():
+        for (a, b) in word:
+            tree_edges.add(frozenset((a, b)))
+    basis = {}
+    for e in pres.L.edges():
+        if e in tree_edges:
+            continue
+        a, b = sorted(e, key=pres.L.vertex_position)
+        basis[(a, b)] = (
+            cover.path_words[a]
+            + ((a, b),)
+            + tuple((y, x) for (x, y) in reversed(cover.path_words[b]))
+        )
+    return basis
+
+
+def reference_tau(quotient):
+    """The theta product along each path word, walked letter by letter, as
+    the cube-complex builder did."""
+    ident = next(iter(quotient.theta.values())).identity_like()
+    tau = {}
+    for u in quotient.presentation.L.vertices:
+        val = ident
+        for e in quotient.presentation.cover.path_words[u]:
+            val = val * quotient.theta[e]
+        tau[u] = val
+    return tau
+
+
+def test_cover_keeps_the_cycle_basis_and_the_quotient_its_potentials():
+    """On the abelian family (square, triple-cover and k-cycle product
+    fixtures) and the rose wreaths: the cover's cycle basis is the
+    oracle's, keys and order included; eta is the lift of each cycle; and
+    tau is the walk along the path words."""
+    wreaths = [rose_wreath_recipe(r=r, n=n).quotient
+               for r in (4, 6, 8, 12) for n in (2, 3)]
+    for q in abelian_quotients() + wreaths:
+        cover = q.presentation.cover
+        basis = reference_cycle_basis(q.presentation)
+        assert list(cover.cycle_basis.items()) == list(basis.items())
+        for edge, loop in basis.items():
+            assert cover.lift_word(loop) == cover.eta[edge]
+        assert q.tau == reference_tau(q)
+
+
+def test_relator_checks_lift_no_word(monkeypatch, wreaths):
+    """Both relator checks read the deck labels of the fundamental cycles
+    off eta, so neither lifts a word."""
+    def refuse(self, word, start=None):
+        raise AssertionError("a relator check lifted a word")
+
+    monkeypatch.setattr(RegularCover, "lift_word", refuse)
+    square = square_quotient_bits((1, 0, 0, 0))
+    pres = square.presentation
+    assert verify_abelian_exact(pres, square.target,
+                                square.theta).certificate.passed
+    assert verify_bounded(pres, square.theta).certificate.passed
+    wreath = wreaths[(4, 2)]
+    assert verify_bounded(wreath.presentation,
+                          wreath.quotient.theta).certificate.passed
+
+
 # --- the box oracle for the label kernel ------------------------------------------
 
 
@@ -349,7 +424,7 @@ def test_label_kernel_matches_the_box(wreaths):
         assert (_label_kernel_generators(labels)
                 == reference_label_kernel_generators(labels))
     several = [[res.presentation.cover.lift_word(loop)
-                for loop in _cycle_basis(res.presentation)]
+                for loop in reference_cycle_basis(res.presentation).values()]
                for res in wreaths.values()]
     assert {len(labels) for labels in several} == {2}
     several += itertools.product(AbelianGroup((2, 4)).elements(), repeat=2)

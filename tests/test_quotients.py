@@ -4,16 +4,20 @@ import itertools
 
 import pytest
 
+from gbbkit.covers import build_cover
+from gbbkit.cubical import build_quotient, hyperplanes, specialness
 from gbbkit.errors import QuotientError
 from gbbkit.fixtures import (SQUARE_EDGES, rose_wreath_recipe,
                              square_presentation, square_quotient_bits,
                              triple_cover_presentation, triple_cover_quotient)
-from gbbkit.groups import AbelianGroup
+from gbbkit.groups import AbelianGroup, PermutationGroup
 from gbbkit.intsets import PeriodicSet
+from gbbkit.presentation import GbbPresentation
 from gbbkit.quotients import (cocycle_recipe, hw_product_quotient,
                               kernel_torsion_free, loop_r_set,
                               stabilizer_image, star_abelian_check,
                               verify_abelian_exact, verify_bounded)
+from gbbkit.simplicial import build_complex
 
 SQUARE_LOOP = (("w", "x"), ("x", "y"), ("y", "z"), ("z", "w"))
 
@@ -77,6 +81,36 @@ def test_theta_on_a_non_edge_is_rejected():
         verify_abelian_exact(pres, t2, theta)
     with pytest.raises(QuotientError, match="non-edge"):
         verify_bounded(pres, theta)
+
+
+def point_presentation(S):
+    """One vertex, no edge, trivial deck group."""
+    L = build_complex(["u"], [{"u"}])
+    cover = build_cover(L, PermutationGroup(1, []), {}, "u")
+    return GbbPresentation(L, cover, S)
+
+
+@pytest.mark.parametrize("S", [PeriodicSet.all_integers(),
+                               PeriodicSet.multiples(2)])
+def test_point_base_quotient(S):
+    """With no edge there is no theta value to read the identity off: an
+    abelian target names it, and the wrapped complex is one edge per
+    height and coset, each its own hyperplane."""
+    pres = point_presentation(S)
+    q = verify_abelian_exact(pres, AbelianGroup((2,)), {})
+    assert kernel_torsion_free(q) == (True, None)
+    for N in (q.period, 2 * q.period):
+        Y = build_quotient(pres, q, N)
+        assert specialness(Y).special
+        assert len(hyperplanes(Y)) == len(Y.edges) == 2 * N
+
+
+@pytest.mark.parametrize("S", [PeriodicSet.all_integers(),
+                               PeriodicSet.multiples(2)])
+def test_point_base_without_a_target_is_an_input_error(S):
+    pres = point_presentation(S)
+    with pytest.raises(QuotientError, match="no value to name"):
+        kernel_torsion_free(verify_bounded(pres, {}))
 
 
 # --- stabilizer images and torsion ------------------------------------------
