@@ -11,10 +11,11 @@ product of its labels is the identity.
 
 The cover object also carries the base-lift bookkeeping that later
 constructions need: a spanning tree with path words w_u to each vertex
-and its fundamental cycles, one per non-tree edge, loop words gamma_g
-realizing every deck element as the endpoint of a lifted loop, and the
-deck elements eta(u, u') describing where the edge lift at the chosen
-lifts lands, which are also the deck labels of the fundamental cycles.
+and its fundamental cycles, one per non-tree edge; the deck elements
+eta(u, u') describing where the edge lift at the chosen lifts lands,
+which are also the deck labels of the fundamental cycles; and one
+breadth-first walk of the monodromy group those labels generate, off
+which connectivity, the label kernel and the stabilizer images are read.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CoverError
-from .groups import subgroup_closure
+from .groups import Subgroup, cayley_walk
 from .simplicial import SimplicialComplex, SimplicialMap
 
 
 class RegularCover:
     def __init__(self, base, deck, labelling, base_vertex, total, h, path_words,
-                 cycle_basis, loop_words, eta, connected, monodromy):
+                 cycle_basis, eta, connected, monodromy, walk, steps):
         self.base = base
         self.deck = deck
         self.labelling = labelling  # (u, u') -> deck element, both directions
@@ -38,10 +39,13 @@ class RegularCover:
         self.path_words = path_words  # u -> tuple of directed edges, v0 -> u
         # non-tree edge (a, b) -> its fundamental cycle, deck label eta[(a, b)]
         self.cycle_basis = cycle_basis
-        self.loop_words = loop_words  # deck element -> tuple of directed edges
         self.eta = eta  # (u, u') -> deck element
         self.connected = connected
         self.monodromy = monodromy
+        # the breadth-first walk of the monodromy group from the identity:
+        # walk[steps[i][k]] = walk[i] * (deck label of the k-th cycle)
+        self.walk = walk
+        self.steps = steps
 
     def label(self, u, v):
         return self.labelling[(u, v)]
@@ -103,10 +107,10 @@ def _check_word(L, word, closed=False):
 
 
 def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
-    """Assemble the cover: total space, connectivity (with the monodromy
-    subgroup as the certificate of failure), spanning-tree lifts, path
-    words and fundamental cycles, loop words for every deck element, and
-    the edge-transport elements eta."""
+    """Assemble the cover: total space, spanning-tree lifts, path words
+    and fundamental cycles, the edge-transport elements eta, and the walk
+    of the monodromy group, which decides connectivity (the monodromy
+    subgroup is the certificate of failure)."""
     if base_vertex not in L.vertices:
         raise CoverError(f"unknown base vertex {base_vertex}")
     if not L.is_connected:
@@ -138,22 +142,9 @@ def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
             total_max.append(frozenset(lifted))
     total = SimplicialComplex(total_vertices, total_max)
 
-    # connectivity via BFS over the total 1-skeleton from (v0, 1), tracking
-    # projected words so loop words come for free
-    ident = deck.identity
-    start = (base_vertex, ident)
-    reach_word = {start: ()}
-    reached = [start]
-    for (u, g) in reached:
-        for w in L.neighbors(u):
-            tgt = (w, g * full[(u, w)])
-            if tgt not in reach_word:
-                reach_word[tgt] = reach_word[(u, g)] + ((u, w),)
-                reached.append(tgt)
-    connected = len(reach_word) == len(total_vertices)
-
     # spanning tree, breadth first from the base vertex: path words, tree
     # edges and chosen lifts h(u) = h(parent) * label(parent, u)
+    ident = deck.identity
     path_words = {base_vertex: ()}
     h = {base_vertex: ident}
     tree = set()
@@ -180,9 +171,13 @@ def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
                 + tuple((y, x) for (x, y) in reversed(path_words[b]))
             )
 
-    # monodromy: subgroup generated by spanning-tree-normalized labels
-    mono_gens = [eta[tuple(e)] for e in L.edges()]
-    monodromy = subgroup_closure(mono_gens, identity=ident)
+    # monodromy: the labels of the fundamental cycles generate it (tree
+    # edges have eta = 1), and its walk reaches the whole deck group exactly
+    # when the total space is connected
+    labels = [eta[e] for e in cycle_basis]
+    walk, steps = cayley_walk(labels, ident)
+    monodromy = Subgroup(ident.parent_key(), tuple(labels), frozenset(walk))
+    connected = len(walk) == deck.order
     if not connected and not allow_disconnected:
         raise CoverError(
             f"cover is disconnected: labels generate a subgroup of order "
@@ -190,17 +185,9 @@ def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
             subgroup=monodromy,
         )
 
-    # loop words for every deck element reachable in the total space
-    loop_words = {}
-    for (u, g), word in reach_word.items():
-        if u == base_vertex and g not in loop_words:
-            loop_words[g] = word
-    if connected and len(loop_words) != deck.order:
-        raise CoverError("internal: loop words incomplete on a connected cover")
-
     return RegularCover(
         L, deck, full, base_vertex, total, h, path_words, cycle_basis,
-        loop_words, eta, connected, monodromy,
+        eta, connected, monodromy, walk, steps,
     )
 
 

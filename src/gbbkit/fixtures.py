@@ -133,13 +133,12 @@ def rose_graph(petals=2, vertex="o"):
 def rose_wreath_recipe(r=12, n=2, s0=(0,), loop_length_bound=12):
     """Two-petal rose, deck of order 3 inside the alternating group on 4
     symbols (one nontrivial petal), r-fold edge subdivision, detector
-    labelling for S = (s0 mod n).  ``loop_length_bound`` is passed on to
-    ``wreath_recipe`` and does not affect its exact certificate."""
+    labelling for S = (s0 mod n).  ``loop_length_bound`` is accepted for
+    existing callers and ignored: the certificate is exact."""
     sigma3 = Permutation.from_cycles(4, (0, 1, 2))
     graph = rose_graph(2)
     sigma = {0: sigma3, 1: Permutation.identity(4)}
-    return wreath_recipe(graph, sigma, r, n, frozenset(s0),
-                         loop_length_bound=loop_length_bound)
+    return wreath_recipe(graph, sigma, r, n, frozenset(s0))
 
 
 def pqrs_fixture(n=3, k=1, seed=0):

@@ -142,7 +142,8 @@ class AbelianElement:
     @classmethod
     def _unchecked(cls, factors, coords):
         """An element from coordinates already reduced modulo their
-        factors: products skip the reduction of the constructor."""
+        factors: products, inverses and powers reduce their own
+        coordinates and skip the constructor."""
         a = object.__new__(cls)
         object.__setattr__(a, "factors", factors)
         object.__setattr__(a, "coords", coords)
@@ -162,16 +163,18 @@ class AbelianElement:
         return self.inverse()
 
     def inverse(self):
-        return AbelianElement(self.factors, tuple(-c for c in self.coords))
+        return AbelianElement._unchecked(self.factors, tuple(
+            -c % f for c, f in zip(self.coords, self.factors)))
 
     def __pow__(self, k):
-        return AbelianElement(self.factors, tuple(k * c for c in self.coords))
+        return AbelianElement._unchecked(self.factors, tuple(
+            k * c % f for c, f in zip(self.coords, self.factors)))
 
     def is_identity(self):
         return all(c == 0 for c in self.coords)
 
     def identity_like(self):
-        return AbelianElement(self.factors, (0,) * len(self.factors))
+        return AbelianElement._unchecked(self.factors, (0,) * len(self.factors))
 
     def order(self):
         return lcm(1, *(f // _gcd(c, f) for c, f in zip(self.coords, self.factors)))
@@ -431,33 +434,43 @@ class Subgroup:
         return lcm(1, *(g.order() for g in self.elements))
 
 
+def cayley_walk(generators, identity, bound=10 ** 6):
+    """The breadth-first walk of the group the generators generate, from
+    the identity by right multiplication (a finite group needs no
+    inverses).  Returns (elements, steps): the elements in the order the
+    walk meets them, and steps[i][k] the position of
+    elements[i] * generators[k].  Raises past ``bound`` elements."""
+    position = {identity: 0}
+    elements = [identity]
+    steps = []
+    for h in elements:
+        row = []
+        for g in generators:
+            x = h * g
+            i = position.get(x)
+            if i is None:
+                i = position[x] = len(elements)
+                elements.append(x)
+                if i >= bound:
+                    raise GroupError(f"closure exceeded bound {bound}")
+            row.append(i)
+        steps.append(row)
+    return elements, steps
+
+
 def subgroup_closure(generators, identity=None, bound=10 ** 6):
     """Close a generator list under products.  ``identity`` is required
     when the list is empty."""
     gens = tuple(generators)
-    if not gens:
-        if identity is None:
-            raise GroupError("empty generators need an explicit identity")
-        return Subgroup(identity.parent_key(), (), frozenset({identity}))
-    keys = {g.parent_key() for g in gens}
-    if len(keys) > 1:
-        raise GroupError(f"mixed parent groups: {keys}")
-    ident = gens[0].identity_like()
-    elements = {ident}
-    frontier = [ident]
-    gens_inv = gens + tuple(g.inverse() for g in gens)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens_inv:
-                e = h * g
-                if e not in elements:
-                    elements.add(e)
-                    nxt.append(e)
-                    if len(elements) > bound:
-                        raise GroupError(f"closure exceeded bound {bound}")
-        frontier = nxt
-    return Subgroup(ident.parent_key(), gens, frozenset(elements))
+    if gens:
+        keys = {g.parent_key() for g in gens}
+        if len(keys) > 1:
+            raise GroupError(f"mixed parent groups: {keys}")
+        identity = gens[0].identity_like()
+    elif identity is None:
+        raise GroupError("empty generators need an explicit identity")
+    elements, _ = cayley_walk(gens, identity, bound)
+    return Subgroup(identity.parent_key(), gens, frozenset(elements))
 
 
 # ---------------------------------------------------------------------------

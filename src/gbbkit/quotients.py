@@ -138,15 +138,16 @@ def _complete_theta(pres, theta):
     return full
 
 
-def _label_kernel_generators(labels):
+def _label_kernel_generators(labels, steps):
     """Generators of the lattice {x in Z^k : prod labels[i]^{x_i} = 1}.
 
     For commuting labels, x -> prod labels[i]^{x_i} is a homomorphism from
     Z^k onto the group H the labels generate, and the lattice is its
-    kernel.  One breadth-first walk over H names each element h by the
-    vector w(h) of the walk's path to it; by Schreier's lemma the nonzero
-    vectors w(h) + e_i - w(h * labels[i]) generate the kernel.  Requires
-    the labels to commute."""
+    kernel.  ``steps`` is the breadth-first walk of H along the labels
+    (groups.cayley_walk); naming each element h by the vector w(h) of the
+    walk's path to it, by Schreier's lemma the nonzero vectors
+    w(h) + e_i - w(h * labels[i]) generate the kernel.  Requires the
+    labels to commute."""
     k = len(labels)
     if k == 0:
         return []
@@ -155,17 +156,13 @@ def _label_kernel_generators(labels):
             raise QuotientError(
                 "exact verification needs commuting deck monodromy labels"
             )
-    word = {labels[0].identity_like(): (0,) * k}
-    walk = list(word)
+    word = [(0,) * k]
     gens = []
-    for h in walk:
-        w = word[h]
-        for i, g in enumerate(labels):
+    for w, row in zip(word, steps):
+        for i, x in enumerate(row):
             step = w[:i] + (w[i] + 1,) + w[i + 1:]
-            x = h * g
-            if x not in word:
-                word[x] = step
-                walk.append(x)
+            if x == len(word):
+                word.append(step)
             else:
                 vec = tuple(a - b for a, b in zip(step, word[x]))
                 if any(vec):
@@ -188,14 +185,14 @@ def verify_abelian_exact(pres: GbbPresentation, target: AbelianGroup, theta):
     cover = pres.cover
     quotient = FiniteQuotient(pres, target, full, "abelian-exact", None)
     tau = quotient.tau
-    labels = [cover.eta[e] for e in cover.cycle_basis]
+    labels = list(cover.monodromy.generators)
     values = [tau[a] * full[(a, b)] * tau[b].inverse()
               for (a, b) in cover.cycle_basis]
     cert = quotient.certificate = AbelianExactCertificate(
         mode="abelian-exact",
         basis_loops=list(cover.cycle_basis.values()),
         basis_labels=labels,
-        kernel_generators=_label_kernel_generators(labels),
+        kernel_generators=_label_kernel_generators(labels, cover.steps),
         d=gcd_of_set(pres.S),
     )
     for vec in cert.kernel_generators:
@@ -223,11 +220,11 @@ def verify_bounded(pres, theta):
     a loop's power product is its voltage under e -> theta(e)^j, which is
     multiplicative along loops (Gross and Tucker, Topological Graph
     Theory, 1987), so the fundamental cycles decide at each j of one
-    period: in S their voltages must be trivial; outside S only the
-    lifting loops must die, i.e. the voltages must factor through the
-    deck labels as rho_j.  Failures name (fundamental cycle, j), or
-    stabilizer_image names where rho_j is not a homomorphism.  The name
-    is kept for perfbench's tracer, which wraps the function by it."""
+    period: in S their voltages must be trivial, and failures name
+    (fundamental cycle, j); outside S only the lifting loops must die,
+    i.e. the voltages must factor through the deck labels, and rho_j names
+    where two of them clash.  The name is kept for perfbench's tracer,
+    which wraps the function by it."""
     full = _complete_theta(pres, theta)
     quotient = FiniteQuotient(pres, None, full, "cycle-exact", None)
     cover = pres.cover
@@ -237,11 +234,11 @@ def verify_bounded(pres, theta):
         loops_checked=len(cover.cycle_basis),
     )
     for j in range(cert.exponent_window):
-        rho = None if j in pres.S else quotient.rho(j)[0]
-        for edge, loop in cover.cycle_basis.items():
-            v = power_product([full[e] for e in loop], j)
-            if not (v.is_identity() if rho is None
-                    else v == rho[cover.eta[edge]]):
+        if j not in pres.S:
+            quotient.rho(j)
+            continue
+        for loop in cover.cycle_basis.values():
+            if not power_product([full[e] for e in loop], j).is_identity():
                 cert.failures.append((loop, j))
     if cert.failures:
         raise QuotientError(
@@ -255,49 +252,43 @@ def verify_bounded(pres, theta):
 
 
 def stabilizer_image(quotient, j):
-    """The map rho_j: deck -> target sending g to the power product of
-    theta over the loop word realizing g, at exponent j; checked to be a
-    homomorphism on the deck generators (rho(g s) = rho(g) rho(s) for all g
-    and generators s suffices, as rho(1) = 1).  Returns (rho_j as a dict,
-    its image as the subgroup of its values).  For residues j in the
-    exponent set, rho_j is trivial by construction of the certificates.
-
-    The loop words are the paths to the base fibre in one breadth-first
-    tree of the total space, so they share prefixes: rho_j is evaluated
-    along that tree, with one product per tree vertex and one power per
-    edge label."""
+    """The map rho_j: deck -> target sending the deck label of a loop to
+    its power product of theta at exponent j.  That power product is the
+    loop's voltage under e -> theta(e)^j, so rho_j is fixed by the
+    j-voltages v_k of the fundamental cycles: along the cover's walk of the
+    deck group, rho(1) = 1 and rho(g s_k) = rho(g) v_k at the step that
+    first reaches g s_k, where s_k is the k-th cycle's deck label.  Every
+    other step of the walk must agree; together they make rho_j a
+    homomorphism through which every voltage factors.  Returns (rho_j as a
+    dict in walk order, its image as the subgroup of its values).  For
+    residues j in the exponent set, rho_j is trivial by construction of
+    the certificates."""
     cover = quotient.presentation.cover
-    power = {}                               # edge -> theta(e)^j
-    value = [quotient.identity]              # tree vertex -> its product
-    child = {}                               # (tree vertex, edge) -> vertex
-    rho = {}
-    for g, word in cover.loop_words.items():
-        node = 0
-        for e in word:
-            nxt = child.get((node, e))
-            if nxt is None:
-                if e not in power:
-                    power[e] = quotient.theta[e] ** j
-                nxt = child[(node, e)] = len(value)
-                value.append(value[node] * power[e])
-            node = nxt
-        rho[g] = value[node]
-    for g in rho:
-        for s in cover.deck.generators:
-            if rho[g] * rho[s] != rho[g * s]:
+    walk, labels = cover.walk, cover.monodromy.generators
+    volts = [power_product([quotient.theta[e] for e in loop], j)
+             for loop in cover.cycle_basis.values()]
+    value = [quotient.identity]
+    for i, row in enumerate(cover.steps):
+        for k, x in enumerate(row):
+            v = value[i] * volts[k]
+            if x == len(value):
+                value.append(v)
+            elif v != value[x]:
                 raise QuotientError(
-                    f"rho_{j} is not a homomorphism at ({g},{s}): "
-                    "theta is not a verified quotient"
+                    f"rho_{j} is not a homomorphism at ({walk[i]},"
+                    f"{labels[k]}): theta is not a verified quotient"
                 )
-    values = tuple(rho.values())
-    return rho, Subgroup(values[0].parent_key(), values, frozenset(values))
+    rho = dict(zip(walk, value))
+    return rho, Subgroup(value[0].parent_key(), tuple(value),
+                         frozenset(value))
 
 
 def kernel_torsion_free(quotient):
     """True iff every torsion catalog element dies nowhere in the kernel:
     for each residue j outside the exponent set, modulo the quotient's
     period, the map rho_j must be injective on the deck group.  Returns
-    (bool, witness) with witness = (j, g), j least, on failure."""
+    (bool, witness) with witness = (j, g) on failure: j least, and g the
+    first element of the cover's walk that rho_j kills."""
     pres = quotient.presentation
     ident = quotient.identity
     for j in range(quotient.period):
@@ -392,8 +383,7 @@ class WreathRecipeResult:
     k_list: tuple
 
 
-def wreath_recipe(graph, sigma, r, n, s0, base_vertex=None,
-                  loop_length_bound=12, seed=0):
+def wreath_recipe(graph, sigma, r, n, s0, base_vertex=None, seed=0):
     """Build the wreath-product labelling certifying exponent set
     S = (s0 mod n) over the r-fold edge subdivision of a multigraph.
 
@@ -403,8 +393,7 @@ def wreath_recipe(graph, sigma, r, n, s0, base_vertex=None,
     four detector elements are placed on the first four sub-edges of e;
     the product labelling over all such k is theta.  The deck group is
     generated by the sigma values, acting on the subdivision via the last
-    sub-edge of each original edge.  The certificate is exact; the
-    accepted ``loop_length_bound`` no longer affects it."""
+    sub-edge of each original edge.  The certificate is exact."""
     if r < 4:
         raise QuotientError("edge subdivision must have r >= 4")
     if n < 1:

@@ -7,6 +7,7 @@ from gbbkit.errors import CoverError
 from gbbkit.fixtures import square_complex, square_cover
 from gbbkit.groups import Permutation, PermutationGroup
 from gbbkit.simplicial import SimplicialMap, build_complex
+from test_quotient_reference import reference_loop_words
 
 
 def test_square_double_cover_is_an_octagon():
@@ -48,7 +49,9 @@ def test_chosen_lifts_and_eta():
 
 def test_loop_words_realize_deck_elements():
     L, cover = square_cover()
-    for g, word in cover.loop_words.items():
+    loop_words = reference_loop_words(cover)
+    assert set(loop_words) == set(cover.walk) == set(cover.deck)
+    for g, word in loop_words.items():
         assert cover.lift_word(word) == g
         if word:
             assert word[0][0] == cover.base_vertex

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gbbkit.errors import GroupError
 from gbbkit.groups import (AbelianElement, AbelianGroup, Permutation,
                            PermutationGroup, TupleElement, WreathElement,
-                           build_pqrs,
+                           build_pqrs, cayley_walk,
                            ore_commutator, power_product, r_set,
                            subgroup_closure, symmetric_group)
 
@@ -139,6 +139,22 @@ def test_abelian_arithmetic():
     assert G.exponent == 4
 
 
+def test_abelian_inverse_power_and_identity_match_the_constructor():
+    """inverse, ** and identity_like skip the validating constructor and
+    reduce their coordinates themselves: over Z/4 x Z/6, for every element
+    and every exponent from -13 to 13, they equal the constructor's
+    result."""
+    factors = (4, 6)
+    for a in AbelianGroup(factors).elements():
+        results = [(a.inverse(), [-c for c in a.coords]),
+                   (a.identity_like(), [0, 0])]
+        results += [(a ** k, [k * c for c in a.coords])
+                    for k in range(-13, 14)]
+        for got, coords in results:
+            checked = AbelianElement(factors, tuple(coords))
+            assert got == checked and hash(got) == hash(checked)
+
+
 # --- wreath elements -------------------------------------------------------
 
 
@@ -253,6 +269,24 @@ def test_detector_k_bounds():
 
 
 # --- closures and products --------------------------------------------------
+
+
+def test_cayley_walk_steps_by_right_multiplication():
+    gens = [Permutation.from_cycles(3, (0, 1)),
+            Permutation.from_cycles(3, (0, 1, 2))]
+    identity = Permutation.identity(3)
+    elements, steps = cayley_walk(gens, identity)
+    assert elements[0] == identity
+    assert sorted(elements) == sorted(symmetric_group(3))
+    assert elements[1:3] == gens
+    for i, row in enumerate(steps):
+        assert [elements[x] for x in row] == [elements[i] * g for g in gens]
+    assert cayley_walk([], identity) == ([identity], [[]])
+    with pytest.raises(GroupError, match="exceeded bound 5"):
+        cayley_walk(gens, identity, bound=5)
+    assert len(cayley_walk(gens, identity, bound=6)[0]) == 6
+    with pytest.raises(GroupError, match="exceeded bound 5"):
+        subgroup_closure(gens, bound=5)
 
 
 def test_subgroup_closure_counts():

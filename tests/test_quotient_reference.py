@@ -18,7 +18,13 @@ fundamental cycles of the cover, and must agree with the window wherever
 the window reaches far enough.  Those cycles were rebuilt from the path
 words by each check, and the theta-potentials walked along every path
 word by the cube builder; the cover now keeps the cycles, labelled by
-eta, and the quotient its potentials, which must equal the rebuilt ones."""
+eta, and the quotient its potentials, which must equal the rebuilt ones.
+The cover walked its whole total space for connectivity and one loop
+word per deck element, and rho_j was evaluated along the tree of those
+words; the cover now walks only the monodromy group along the cycles'
+labels, and rho_j is read off that walk from the cycles' voltages.  The
+walk must meet what the total space meets, and rho_j must equal both
+replaced evaluations."""
 
 import functools
 import itertools
@@ -38,7 +44,7 @@ from gbbkit.fixtures import (SQUARE_EDGES, annulus_complex, cycle_complex,
                              square_quotient_bits, triple_cover_quotient)
 from gbbkit.groups import (AbelianElement, AbelianGroup, Permutation,
                            PermutationGroup, TupleElement, WreathElement,
-                           power_product, subgroup_closure)
+                           cayley_walk, power_product, subgroup_closure)
 from gbbkit.intsets import PeriodicSet
 from gbbkit.presentation import GbbPresentation, loops_upto
 from gbbkit.quotients import (FiniteQuotient, _complete_theta,
@@ -89,11 +95,32 @@ def reference_modulus(q):
     return lcm(q.presentation.S.modulus, closure_exponent(q.theta.values()))
 
 
+def reference_loop_words(cover):
+    """The replaced walk of the whole total space: breadth first from
+    (base vertex, 1) over the total 1-skeleton, keeping the projected edge
+    word of the first path to each vertex; every deck element met in the
+    base fibre gets the word of the first path to it."""
+    L, start = cover.base, (cover.base_vertex, cover.deck.identity)
+    reach_word = {start: ()}
+    reached = [start]
+    for (u, g) in reached:
+        for w in L.neighbors(u):
+            tgt = (w, g * cover.labelling[(u, w)])
+            if tgt not in reach_word:
+                reach_word[tgt] = reach_word[(u, g)] + ((u, w),)
+                reached.append(tgt)
+    loop_words = {}
+    for (u, g), word in reach_word.items():
+        if u == cover.base_vertex and g not in loop_words:
+            loop_words[g] = word
+    return loop_words
+
+
 def reference_stabilizer_image(quotient, j):
     cover = quotient.presentation.cover
     ident = next(iter(quotient.theta.values())).identity_like()
     rho = {}
-    for g, word in cover.loop_words.items():
+    for g, word in reference_loop_words(cover).items():
         rho[g] = (power_product([quotient.theta[e] for e in word], j)
                   if word else ident)
     for g in rho:
@@ -104,6 +131,36 @@ def reference_stabilizer_image(quotient, j):
                     "theta is not a verified quotient"
                 )
     return rho, subgroup_closure(list(rho.values()))
+
+
+def trie_stabilizer_image(quotient, j):
+    """The replaced evaluation: rho_j along the breadth-first tree of the
+    loop words, with one product per tree vertex and one power per edge
+    label, checked on the deck generators.  Returns rho_j as a dict."""
+    cover = quotient.presentation.cover
+    power = {}                               # edge -> theta(e)^j
+    value = [quotient.identity]              # tree vertex -> its product
+    child = {}                               # (tree vertex, edge) -> vertex
+    rho = {}
+    for g, word in reference_loop_words(cover).items():
+        node = 0
+        for e in word:
+            nxt = child.get((node, e))
+            if nxt is None:
+                if e not in power:
+                    power[e] = quotient.theta[e] ** j
+                nxt = child[(node, e)] = len(value)
+                value.append(value[node] * power[e])
+            node = nxt
+        rho[g] = value[node]
+    for g in rho:
+        for s in cover.deck.generators:
+            if rho[g] * rho[s] != rho[g * s]:
+                raise QuotientError(
+                    f"rho_{j} is not a homomorphism at ({g},{s}): "
+                    "theta is not a verified quotient"
+                )
+    return rho
 
 
 def reference_kernel_torsion_free(quotient):
@@ -158,7 +215,10 @@ def assert_matches_reference(q):
     period = lcm(q.presentation.S.modulus, q.target_exponent())
     assert m % period == 0
     for j in range(m):
-        assert stabilizer_image(q, j) == reference_stabilizer_image(q, j)
+        rho, image = stabilizer_image(q, j)
+        ref_rho, ref_image = reference_stabilizer_image(q, j)
+        assert rho == ref_rho == trie_stabilizer_image(q, j)
+        assert image.elements == ref_image.elements
     verdict = kernel_torsion_free(q)
     assert verdict == reference_kernel_torsion_free(q)
     return period, m, verdict
@@ -213,7 +273,9 @@ def test_bounded_window_is_one_generator_period(wreaths):
 
 def test_homomorphism_failure_names_a_generator():
     """A theta that is not a quotient: rho_1 fails the homomorphism check,
-    and the pair named has a deck generator second."""
+    and the pair named has a fundamental cycle's deck label second, which
+    here is the generator of the deck group; the replaced check named the
+    generator."""
     q = square_quotient_bits((1, 0, 0, 0))
     t3 = AbelianGroup((3,))
     theta = {e: t3.element((1,)) if e == ("z", "w") else
@@ -222,11 +284,14 @@ def test_homomorphism_failure_names_a_generator():
     bad = FiniteQuotient(q.presentation, t3, theta, "unverified", None)
     with pytest.raises(QuotientError, match=r"rho_1 is not a homomorphism"):
         reference_stabilizer_image(bad, 1)
-    with pytest.raises(QuotientError) as err:
-        stabilizer_image(bad, 1)
-    swap = q.presentation.cover.deck.generators[0]
-    assert str(err.value).endswith(
-        f",{swap}): theta is not a verified quotient")
+    cover = q.presentation.cover
+    swap = cover.deck.generators[0]
+    assert cover.monodromy.generators == (swap,)
+    for evaluate in (stabilizer_image, trie_stabilizer_image):
+        with pytest.raises(QuotientError) as err:
+            evaluate(bad, 1)
+        assert str(err.value).endswith(
+            f",{swap}): theta is not a verified quotient")
     # a failure is not kept: every call raises it again
     for _ in range(2):
         with pytest.raises(QuotientError, match=r"rho_1 is not a homom"):
@@ -262,11 +327,13 @@ def test_quotient_path_builds_no_subgroup(monkeypatch, wreaths):
 
 
 def test_stabilizer_image_takes_one_product_per_tree_vertex(monkeypatch):
-    """rho_j is evaluated along the breadth-first tree of the loop words.
-    On the 4-cycle cocycle with p = 101, one call takes at most one power
-    per edge label and one product per total-space vertex and per deck
-    generator check, where one power product per loop word took about
-    p^2 / 2 products.  The rho dict keeps the order of the loop words."""
+    """rho_j is evaluated along the cover's walk of the deck group: one
+    power product per fundamental cycle, then one product per walk step,
+    which either adds a vertex to the walk's breadth-first tree or checks
+    it.  On the 4-cycle cocycle with p = 101 that is at most
+    |walk| * beta_1 + (cycle lengths) = 105 products, where the tree of the
+    loop words allowed 505 and one power product per loop word took about
+    p^2 / 2.  The rho dict keeps the order of the walk."""
     q = cycle_cocycle_quotient(4, 101)
     cover = q.presentation.cover
     counts = {"__mul__": 0, "__pow__": 0}
@@ -276,16 +343,114 @@ def test_stabilizer_image_takes_one_product_per_tree_vertex(monkeypatch):
             counts[_name] += 1
             return _original(self, other)
         monkeypatch.setattr(AbelianElement, name, counted)
-    products = (len(cover.total.vertices)
-                + cover.deck.order * len(cover.deck.generators))
+    cycle_edges = sum(len(loop) for loop in cover.cycle_basis.values())
+    products = len(cover.walk) * len(cover.cycle_basis) + cycle_edges
     for j in (1, 2, 50, 100):
         for name in counts:
             counts[name] = 0
         rho, image = stabilizer_image(q, j)
-        assert counts["__pow__"] <= len(q.presentation.L.directed_edges())
-        assert counts["__mul__"] <= products == 505
-        assert list(rho) == list(cover.loop_words)
-        assert (rho, image) == reference_stabilizer_image(q, j)
+        assert counts["__pow__"] <= cycle_edges
+        assert counts["__mul__"] <= products == 105
+        assert list(rho) == cover.walk
+        ref_rho, ref_image = reference_stabilizer_image(q, j)
+        assert rho == ref_rho and image.elements == ref_image.elements
+
+
+# --- the total-space oracle -------------------------------------------------------
+
+
+def reference_walk_kernel_generators(labels):
+    """The replaced label kernel: Schreier generators of its own
+    breadth-first walk over the labels."""
+    k = len(labels)
+    word = {labels[0].identity_like(): (0,) * k}
+    walk = list(word)
+    gens = []
+    for h in walk:
+        w = word[h]
+        for i, g in enumerate(labels):
+            step = w[:i] + (w[i] + 1,) + w[i + 1:]
+            x = h * g
+            if x not in word:
+                word[x] = step
+                walk.append(x)
+            else:
+                vec = tuple(a - b for a, b in zip(step, word[x]))
+                if any(vec):
+                    gens.append(vec)
+    return gens
+
+
+def chorded_square():
+    """The 4-cycle v0 v1 v2 v3 with the chord v0 v2: 5 edges, first Betti
+    number 2."""
+    names = [f"v{i}" for i in range(4)]
+    return build_complex(names, [{names[i], names[(i + 1) % 4]}
+                                 for i in range(4)] + [{"v0", "v2"}])
+
+
+KLEIN = PermutationGroup(4, [Permutation.from_cycles(4, (0, 1), (2, 3)),
+                             Permutation.from_cycles(4, (0, 2), (1, 3))])
+S3 = PermutationGroup(3, [Permutation.from_cycles(3, (0, 1)),
+                          Permutation.from_cycles(3, (0, 1, 2))])
+
+
+def every_labelling(L, deck):
+    edges = [tuple(sorted(e, key=L.vertex_position)) for e in L.edges()]
+    for values in itertools.product(deck, repeat=len(edges)):
+        yield build_cover(L, deck, dict(zip(edges, values)), "v0",
+                          allow_disconnected=True)
+
+
+def test_walk_matches_the_total_space_on_every_small_labelling():
+    """Every Klein-four labelling of the chorded square (1,024 covers) and
+    every S3 labelling of the 4-cycle (1,296): the walk of the monodromy
+    group decides connectivity as the total space does, has one element
+    per component's worth of the deck group, steps by the cycles' labels,
+    and meets exactly the deck elements that the total-space walk meets in
+    the base fibre.  On the abelian deck its Schreier vectors are the ones
+    the replaced walk took."""
+    covers = (list(every_labelling(chorded_square(), KLEIN))
+              + list(every_labelling(cycle_complex(4), S3)))
+    assert len(covers) == 1024 + 1296
+    connected = 0
+    for cover in covers:
+        walk, steps = cover.walk, cover.steps
+        labels = [cover.eta[e] for e in cover.cycle_basis]
+        assert cover.monodromy.generators == tuple(labels)
+        assert cover.connected == cover.total.is_connected
+        connected += cover.connected
+        assert (cover.monodromy.order * len(cover.total.components())
+                == cover.deck.order)
+        assert len(set(walk)) == len(walk) == cover.monodromy.order
+        for i, row in enumerate(steps):
+            for k, x in enumerate(row):
+                assert walk[x] == walk[i] * labels[k]
+        loop_words = reference_loop_words(cover)
+        assert set(loop_words) == set(walk)
+        for g, word in loop_words.items():
+            assert cover.lift_word(word) == g
+        if cover.deck is KLEIN:
+            assert (_label_kernel_generators(labels, steps)
+                    == reference_walk_kernel_generators(labels))
+    assert 0 < connected < len(covers)
+
+
+def test_torsion_witness_is_the_first_killed_element_of_the_walk():
+    """The trivial Z/2 quotient, S = 2Z, of a Klein-four cover of the
+    chorded square: rho_1 kills all four deck elements, and the witness is
+    the first one after the identity in the cover's walk."""
+    a, b = KLEIN.generators
+    L = chorded_square()
+    cover = build_cover(L, KLEIN, {("v0", "v1"): a, ("v0", "v2"): b}, "v0")
+    assert cover.connected and len(cover.walk) == 4
+    pres = GbbPresentation(L, cover, PeriodicSet.multiples(2))
+    target = AbelianGroup((2,))
+    q = verify_abelian_exact(pres, target, {e: target.identity()
+                                            for e in L.directed_edges()})
+    rho, image = q.rho(1)
+    assert image.order == 1 and len(rho) == 4
+    assert kernel_torsion_free(q) == (False, (1, cover.walk[1]))
 
 
 # --- the spanning-tree oracles ----------------------------------------------------
@@ -414,6 +579,10 @@ def hermite_basis(vectors, k):
     return tuple(map(tuple, basis))
 
 
+def walk_steps(labels):
+    return cayley_walk(labels, labels[0].identity_like())[1]
+
+
 def test_label_kernel_matches_the_box(wreaths):
     """The same generator list as the box for a single label (every
     quotient of the family above has first Betti number 1), and the same
@@ -421,7 +590,7 @@ def test_label_kernel_matches_the_box(wreaths):
     singles = [q.certificate.basis_labels for q in abelian_quotients()]
     assert {len(labels) for labels in singles} == {1}
     for labels in singles:
-        assert (_label_kernel_generators(labels)
+        assert (_label_kernel_generators(labels, walk_steps(labels))
                 == reference_label_kernel_generators(labels))
     several = [[res.presentation.cover.lift_word(loop)
                 for loop in reference_cycle_basis(res.presentation).values()]
@@ -431,7 +600,8 @@ def test_label_kernel_matches_the_box(wreaths):
     several += itertools.product(AbelianGroup((6,)).elements(), repeat=3)
     for labels in several:
         labels = list(labels)
-        assert (hermite_basis(_label_kernel_generators(labels), len(labels))
+        assert (hermite_basis(_label_kernel_generators(
+                    labels, walk_steps(labels)), len(labels))
                 == hermite_basis(reference_label_kernel_generators(labels),
                                  len(labels)))
 
@@ -514,7 +684,9 @@ def perturbed(res):
 def test_exact_check_matches_the_window_on_perturbed_wreaths(n):
     """On the r = 4 rose wreath, a window of 3r = 12 covers every relator
     that decides these labellings: the exact verdict equals the window's
-    on each.  The window of 10 misses 8 of the n = 2 rejections."""
+    on each.  Every rejection at n = 2 names where two voltages clash over
+    a deck element (the replaced check named a fundamental cycle for 12 of
+    the 20), and the window of 10 misses 8 of them."""
     res = rose_wreath_recipe(r=4, n=n)
     pres = res.presentation
     rows = [(exact_witness(pres, theta), theta) for theta in perturbed(res)]
@@ -524,7 +696,7 @@ def test_exact_check_matches_the_window_on_perturbed_wreaths(n):
             not reference_verify_bounded(pres, theta, 12))
     kinds = [witness for witness, _ in rows]
     if n == 2:
-        assert (kinds.count("cycle"), kinds.count("homomorphism")) == (12, 8)
+        assert (kinds.count("cycle"), kinds.count("homomorphism")) == (0, 20)
         missed = [theta for witness, theta in rows if witness
                   and not reference_verify_bounded(pres, theta, 10)]
         assert len(missed) == 8
