@@ -9,18 +9,21 @@ multiplication) commute with projection and act freely and transitively on
 fibers.  A loop downstairs lifts to a loop exactly when the ordered
 product of its labels is the identity.
 
-The cover object also carries the base-lift bookkeeping that later
-constructions need: a spanning tree with path words w_u to each vertex
-and its fundamental cycles, one per non-tree edge; the deck elements
-eta(u, u') describing where the edge lift at the chosen lifts lands,
-which are also the deck labels of the fundamental cycles; and one
-breadth-first walk of the monodromy group those labels generate, off
-which connectivity, the label kernel and the stabilizer images are read.
+``build_cover`` checks the labels and records the base-lift bookkeeping
+that later constructions need; the total space is built only when
+``total`` is first read.  The bookkeeping is a spanning tree with path
+words w_u to each vertex and its fundamental cycles, one per non-tree
+edge; the deck elements eta(u, u') describing where the edge lift at the
+chosen lifts lands, which are also the deck labels of the fundamental
+cycles; and one breadth-first walk of the monodromy group those labels
+generate, off which connectivity, the label kernel and the stabilizer
+images are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CoverError
 from .groups import Subgroup, cayley_walk
@@ -28,13 +31,12 @@ from .simplicial import SimplicialComplex, SimplicialMap
 
 
 class RegularCover:
-    def __init__(self, base, deck, labelling, base_vertex, total, h, path_words,
+    def __init__(self, base, deck, labelling, base_vertex, h, path_words,
                  cycle_basis, eta, connected, monodromy, walk, steps):
         self.base = base
         self.deck = deck
         self.labelling = labelling  # (u, u') -> deck element, both directions
         self.base_vertex = base_vertex
-        self.total = total
         self.h = h  # u -> deck element of the chosen lift
         self.path_words = path_words  # u -> tuple of directed edges, v0 -> u
         # non-tree edge (a, b) -> its fundamental cycle, deck label eta[(a, b)]
@@ -46,6 +48,22 @@ class RegularCover:
         # walk[steps[i][k]] = walk[i] * (deck label of the k-th cycle)
         self.walk = walk
         self.steps = steps
+
+    @cached_property
+    def total(self):
+        """The total space: the lift of a simplex through fiber point g
+        places its vertex w at g * label(u0, w), u0 its least vertex, which
+        the cocycle condition ``build_cover`` checks makes a simplex."""
+        L, full = self.base, self.labelling
+        deck_elems = list(self.deck)
+        maximal = []
+        for s in L.maximal_simplices:
+            u0, *rest = sorted(s, key=L.vertex_position)
+            for g in deck_elems:
+                maximal.append(frozenset(
+                    [(u0, g)] + [(w, g * full[(u0, w)]) for w in rest]))
+        return SimplicialComplex(
+            [(u, g) for u in L.vertices for g in deck_elems], maximal)
 
     def label(self, u, v):
         return self.labelling[(u, v)]
@@ -107,9 +125,9 @@ def _check_word(L, word, closed=False):
 
 
 def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
-    """Assemble the cover: total space, spanning-tree lifts, path words
-    and fundamental cycles, the edge-transport elements eta, and the walk
-    of the monodromy group, which decides connectivity (the monodromy
+    """Check the labels and assemble the cover: spanning-tree lifts, path
+    words and fundamental cycles, the edge-transport elements eta, and the
+    walk of the monodromy group, which decides connectivity (the monodromy
     subgroup is the certificate of failure)."""
     if base_vertex not in L.vertices:
         raise CoverError(f"unknown base vertex {base_vertex}")
@@ -117,30 +135,17 @@ def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
         raise CoverError("base complex must be connected")
     full = _complete_labelling(L, labelling, deck)
 
-    deck_elems = list(deck)
-
-    # total-space simplices: the lift of a simplex through fiber point g
-    # places vertex w at g * label(u0, w) for the least vertex u0; this is
-    # consistent only if the labels satisfy the cocycle condition on the
-    # simplex, which is exactly the condition for the simplex to lift.
-    total_vertices = [(u, g) for u in L.vertices for g in deck_elems]
-    total_max = []
+    # a simplex lifts exactly when its labels satisfy the cocycle
+    # condition on it
     for s in L.maximal_simplices:
-        vs = sorted(s, key=L.vertex_position)
-        u0 = vs[0]
-        if len(vs) >= 2:
-            for i in range(1, len(vs)):
-                for j in range(i + 1, len(vs)):
-                    lhs = full[(u0, vs[i])] * full[(vs[i], vs[j])]
-                    if lhs != full[(u0, vs[j])]:
-                        raise CoverError(
-                            f"labels are inconsistent on simplex {vs}: "
-                            "the simplex does not lift"
-                        )
-        for g in deck_elems:
-            lifted = [(u0, g)] + [(w, g * full[(u0, w)]) for w in vs[1:]]
-            total_max.append(frozenset(lifted))
-    total = SimplicialComplex(total_vertices, total_max)
+        u0, *rest = sorted(s, key=L.vertex_position)
+        for i, a in enumerate(rest):
+            for b in rest[i + 1:]:
+                if full[(u0, a)] * full[(a, b)] != full[(u0, b)]:
+                    raise CoverError(
+                        f"labels are inconsistent on simplex {[u0, *rest]}: "
+                        "the simplex does not lift"
+                    )
 
     # spanning tree, breadth first from the base vertex: path words, tree
     # edges and chosen lifts h(u) = h(parent) * label(parent, u)
@@ -186,7 +191,7 @@ def build_cover(L, deck, labelling, base_vertex, allow_disconnected=False):
         )
 
     return RegularCover(
-        L, deck, full, base_vertex, total, h, path_words, cycle_basis,
+        L, deck, full, base_vertex, h, path_words, cycle_basis,
         eta, connected, monodromy, walk, steps,
     )
 

@@ -44,24 +44,25 @@ squares, and it acts transitively on the cosets Q/P_j, the vertices of
 height j.  Links and the four specialness pathologies are local and
 invariant under automorphisms (Haglund and Wise, "Special cube
 complexes", GAFA 18, 2008), so one vertex v = (j, r) per height carries
-the link certificate.  Its link must be the doubled base complex S(L)
-(height in S) or the doubled total space S(M) of the cover (height
-outside S, rho_j injective), through the map the parametrization
-predicts:
+the link certificate.  Its link must be the doubled derived graph of L
+under the voltages rho_j eta (Gross and Tucker, "Topological Graph
+Theory", 1987, 2.1): the vertices V(L) x P_j x {+1, -1}, and for every
+base edge {a, b}, offset x in P_j and signs s, t the edge
+{((a, x), s), ((b, x + rho_j(eta(a, b))), t)}.  It is the doubled base
+S(L) where P_j is trivial (every height in S), the doubled total space
+S(M) of the cover, each vertex (u, g) renamed (u, rho_j(g h(u)^-1)) with
+h(u) the deck element of the chosen lift of u, where rho_j is injective,
+and otherwise the doubling of M / ker rho_j.  The parametrization
+predicts the map onto it, in Q coordinates:
 
-* height in S:  (e, up) -> (label(e), +1),  (e, down) -> (label(e), -1);
-* otherwise:    (j, u, q') up      -> ((u, rho_j^-1(r - q')), +1),
-                (j-1, u, q'') down -> ((u, rho_j^-1(r - q'' - tau(u))), -1),
-  onto S(M) with each vertex (u, g) of the cover renamed (u, g h(u)^-1),
-  h(u) the deck element of the chosen lift of u.
+* (j, u, q') up      -> ((u, r - q'), +1),
+* (j-1, u, q'') down -> ((u, r - q'' - tau(u)), -1),
 
-The doubled complexes enter only through their 1-skeletons, which have a
-closed form: the vertices V x {+1, -1} and, for every edge {a, b}, the four
-edges {(a, s), (b, t)}.  The certificate checks that the map is a
-bijection onto those vertices and that the edge sets are equal; a mismatch
-names the link edge.  Heights outside S where rho_j is not injective are
-unchecked.  They occur exactly when the kernel has torsion, and
-``build_quotient`` refuses such a quotient on request.
+and where P_j is trivial the offset is forced, so an end maps by its
+label alone.  The certificate checks that the map is a bijection onto
+the vertices, that every link edge over a base edge {a, b} joins offsets
+x_b = x_a + rho_j(eta(a, b)), and that the link has all
+4 |E(L)| |P_j| edges; a mismatch names the link end or link edge.
 
 The same translation skips most of the osculation scan.  It permutes the
 vertices of a height, carries the link of one onto the link of the other
@@ -189,7 +190,6 @@ class QuotientCubeComplex:
         self.presentation = pres
         self.quotient = quotient
         self.N = N
-        self._models = {}  # link tag -> _model_ids(self, tag)
         self._build()
 
     # -- construction ---------------------------------------------------
@@ -385,6 +385,11 @@ _CORNERS = ((0 + _UP, 2 + _UP), (0 + _DOWN, 4 + _UP),
             (2 + _DOWN, 6 + _UP), (4 + _DOWN, 6 + _DOWN))
 _PARTNER = {a: b for corner in _CORNERS for a, b in (corner, corner[::-1])}
 
+# the doubled complex a link must be, by its tag
+_MODELS = {"S(L)": "the doubled base",
+           "S(M)": "the doubled cover total space",
+           "quotient-of-S(M)": "the doubled quotient of the cover total space"}
+
 
 def _link(Y, v):
     """The link of the vertex at position v as adjacency sets over link
@@ -407,122 +412,112 @@ def _end(Y, end):
     return (Y.edges[end >> 1], _ROLE[end & 1])
 
 
-def _predicted_map(Y, v, link, tag):
-    """The map from the link at the vertex at position v onto the doubled
-    complex that the parametrization predicts (see the module docstring);
-    an end whose offset lies outside P_j maps to a deck element of
-    None."""
+def _link_tag(Y, j):
+    """The doubled complex the links of height j must be: the base's where
+    P_j is trivial, the cover total space's where rho_j is injective, and
+    otherwise its quotient by the kernel of rho_j."""
+    order = Y.P[j].order
+    if order == 1:
+        return "S(L)"
+    if order == Y.presentation.cover.deck.order:
+        return "S(M)"
+    return "quotient-of-S(M)"
+
+
+def _link_mismatch(Y, v, link, tag):
+    """None when the link at the vertex at position v is the doubled
+    derived graph the module docstring describes, through the map it
+    predicts; otherwise the reason, naming the link end or link edge that
+    does not match."""
     labels = Y.presentation.L.vertices
-    nQ, nV = len(Y._elements), len(labels)
-    if tag == "S(L)":
-        return {end: (labels[(end >> 1) // nQ % nV], _SIGN[end & 1])
-                for end in link}
+    nQ, nV, factors = len(Y._elements), len(labels), Y.Q.factors
     j, r = Y.vertices[v]
-    deck_of = {x.coords: g for g, x in Y.rho[j].items()}
-    out = {}
+    P = sorted(Y.P[j].elements, key=lambda x: x.coords)
+    slot = {x.coords: i for i, x in enumerate(P)}
+    nP, trivial = len(P), tag == "S(L)"
+
+    def image(i):
+        """The vertex of the doubled complex with id i."""
+        u, x = divmod(i >> 1, nP)
+        return (labels[u] if trivial else (labels[u], P[x]), _SIGN[i & 1])
+
+    # ends to vertex ids 2 (u nP + x) + sign bit, x the place of the offset
+    # in P; where P_j is trivial the offset is forced and not read
+    tau = [Y.tau[u].coords for u in labels]
+    no_shift = (0,) * len(factors)
+    id_of, back = {}, {}
     for end in link:
         p = end >> 1
-        u = labels[p // nQ % nV]
-        reached = Y._elements[p % nQ].coords
-        if not end & 1:
-            reached = [a + b for a, b in zip(reached, Y.tau[u].coords)]
-        offset = tuple((a - b) % f for a, b, f in
-                       zip(r.coords, reached, Y.Q.factors))
-        out[end] = ((u, deck_of.get(offset)), _SIGN[end & 1])
-    return out
-
-
-def _edge_id(a, b, n):
-    return a * n + b if a < b else b * n + a
-
-
-def _model_ids(Y, tag):
-    """The 1-skeleton of the doubled complex a link of type ``tag`` must
-    equal, with integer ids, built once per complex: its vertices, a map
-    from each to its id (its place in the vertices), and a map from the id
-    of each edge (from the ids of its ends) to the edge.  The vertices are
-    V x {+1, -1} and the edges {(a, s), (b, t)} for each edge {a, b} and
-    signs s, t, where V and the edges are those of L for 'S(L)', and for
-    'S(M)' those of the cover's total space with each vertex (u, g)
-    renamed (u, g h(u)^-1)."""
-    if tag not in Y._models:
-        cover = Y.presentation.cover
-        if tag == "S(L)":
-            K = Y.presentation.L
-            name = {x: x for x in K.vertices}
-        else:
-            K = cover.total
-            name = {(u, g): (u, g * cover.h[u].inverse())
-                    for u, g in K.vertices}
-        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        nodes = frozenset((name[x], s) for x in K.vertices for s in (1, -1))
-        ids = {x: i for i, x in enumerate(nodes)}
-        n, edges = len(ids), {}
-        for a, b in K.edges():
-            for s, t in signs:
-                x, y = (name[a], s), (name[b], t)
-                edges[_edge_id(ids[x], ids[y], n + 1)] = frozenset((x, y))
-        Y._models[tag] = nodes, ids, edges
-    return Y._models[tag]
-
-
-def _link_mismatch(Y, v, link, tag, model):
-    """None when the predicted map is an isomorphism from the link at the
-    vertex at position v onto the doubled complex ``tag``, given as
-    ``_model_ids(Y, tag)``; otherwise the reason, naming the link end or
-    link edge that does not match."""
-    nodes, ids, edges = model
-    n = len(ids)
-    phi = _predicted_map(Y, v, link, tag)
-    id_of, back = {}, {}
-    for end, image in phi.items():
-        i = ids.get(image)
-        if i is None:
-            return (f"link end {_end(Y, end)} maps to {image}, not a vertex "
-                    f"of {tag}")
+        u = p // nQ % nV
+        x = 0
+        if not trivial:
+            offset = tuple(
+                (a - b - c) % f for a, b, c, f in
+                zip(r.coords, Y._elements[p % nQ].coords,
+                    no_shift if end & 1 else tau[u], factors))
+            x = slot.get(offset)
+            if x is None:
+                image_end = ((labels[u], Y.Q.element(offset)), _SIGN[end & 1])
+                return (f"link end {_end(Y, end)} maps to {image_end}, not "
+                        f"a vertex of {tag}")
+        i = 2 * (u * nP + x) + (end & 1)
         if i in back:
             return (f"link ends {_end(Y, back[i])} and {_end(Y, end)} both "
-                    f"map to {image}")
+                    f"map to {image(i)}")
         id_of[end] = i
         back[i] = end
-    if len(back) != n:
-        missing = min((x for x in nodes if ids[x] not in back), key=repr)
+    if len(back) != 2 * nV * nP:
+        missing = min((image(i) for i in range(2 * nV * nP) if i not in back),
+                      key=repr)
         return f"no link end maps to the vertex {missing} of {tag}"
-    hit = set()
-    for a, near in link.items():
-        for b in near:
-            i = _edge_id(id_of[a], id_of[b], n + 1)
-            if i not in edges:
+
+    # rho_j(eta(a, b)) read once per directed base edge: near[u nP + x]
+    # holds each u' nP + x' with x' = x + rho_j(eta(u, u'))
+    rho, index = Y.rho[j], Y._label_index
+    near = [set() for _ in range(nV * nP)]
+    for (a, b), g in Y.presentation.cover.eta.items():
+        ua, ub, d = index[a], index[b], rho[g].coords
+        for x, q in enumerate(P):
+            y = slot.get(tuple((c + e) % f
+                               for c, e, f in zip(q.coords, d, factors)))
+            if y is not None:
+                near[ua * nP + x].add(ub * nP + y)
+    hits = 0
+    for a, ends in link.items():
+        expected = near[id_of[a] >> 1]
+        for b in ends:
+            if id_of[b] >> 1 not in expected:
                 return (f"link edge {_end(Y, a)} -- {_end(Y, b)} maps to "
-                        f"{phi[a]} -- {phi[b]}, not an edge of {tag}")
-            hit.add(i)
-    if len(hit) != len(edges):
-        x, y = min((sorted(e, key=repr) for i, e in edges.items()
-                    if i not in hit), key=repr)
-        return (f"no link edge {_end(Y, back[ids[x]])} -- "
-                f"{_end(Y, back[ids[y]])} over the edge {x} -- {y} of {tag}")
-    return None
+                        f"{image(id_of[a])} -- {image(id_of[b])}, not an "
+                        f"edge of {tag}")
+        hits += len(ends)
+    # every end meets two ends over each neighbour of its label
+    if hits == 4 * nP * len(Y.presentation.cover.eta):
+        return None
+    model = {frozenset((2 * n + s, 2 * m + t)) for n, ms in enumerate(near)
+             for m in ms for s in (0, 1) for t in (0, 1)}
+    model -= {frozenset((id_of[a], id_of[b])) for a, ends in link.items()
+              for b in ends}
+    if not model:
+        return None
+    x, y = min((sorted(e, key=lambda i: repr(image(i))) for e in model),
+               key=lambda e: repr([image(i) for i in e]))
+    return (f"no link edge {_end(Y, back[x])} -- {_end(Y, back[y])} over "
+            f"the edge {image(x)} -- {image(y)} of {tag}")
 
 
 def vertex_link(Y, v):
     """(link, tag): the link as adjacency sets over edge-ends
     ((edge, 'up') for edges rising from v, (edge, 'down') for edges
-    arriving at v), and 'S(L)' for the doubled base or 'S(M)' for the
-    doubled cover total space when the predicted map certifies it;
-    otherwise 'quotient-of-S(M)' at heights outside S and 'unknown' at
-    heights in S."""
+    arriving at v), and the doubled complex the certificate shows it to
+    be: 'S(L)' for the doubled base (P_j trivial), 'S(M)' for the doubled
+    cover total space (rho_j injective), 'quotient-of-S(M)' for its
+    quotient by the kernel of rho_j (otherwise), each certified, and
+    'unknown' when the certificate fails."""
     i = Y.vertex_position(v)
     link = _link(Y, i)
-    j = v[0]
-    if Y.P[j].order == 1 and _link_mismatch(
-            Y, i, link, "S(L)", _model_ids(Y, "S(L)")) is None:
-        tag = "S(L)"
-    elif Y.P[j].order == Y.presentation.cover.deck.order and _link_mismatch(
-            Y, i, link, "S(M)", _model_ids(Y, "S(M)")) is None:
-        tag = "S(M)"
-    elif j not in Y.presentation.S:
-        tag = "quotient-of-S(M)"
-    else:
+    tag = _link_tag(Y, v[0])
+    if _link_mismatch(Y, i, link, tag) is not None:
         tag = "unknown"
     named = {_end(Y, end): {_end(Y, b) for b in near}
              for end, near in link.items()}
@@ -530,24 +525,16 @@ def vertex_link(Y, v):
 
 
 def _validate_all_links(Y):
-    """Certify the link at the first vertex of each height: against the
-    doubled base at the heights in S, then against the doubled cover total
-    space at the others where rho_j is injective.  Translation by Q,
-    asserted during construction, carries it to the other vertices of
-    that height."""
-    S, order = Y.presentation.S, Y.presentation.cover.deck.order
-    tags = ["S(L)" if j in S else "S(M)" if Y.P[j].order == order else None
-            for j in range(Y.N)]
-    for tag, name in (("S(L)", "the doubled base"),
-                      ("S(M)", "the doubled cover total space")):
-        if tag not in tags:
-            continue
-        model = _model_ids(Y, tag)
-        for v in (Y._height_start[j] for j, t in enumerate(tags) if t == tag):
-            reason = _link_mismatch(Y, v, _link(Y, v), tag, model)
-            if reason is not None:
-                raise InternalError(
-                    f"link at {Y.vertices[v]} is not {name}: {reason}")
+    """Certify the link at the first vertex of each height against the
+    doubled complex its tag names.  Translation by Q, asserted during
+    construction, carries it to the other vertices of that height."""
+    for j in range(Y.N):
+        v = Y._height_start[j]
+        tag = _link_tag(Y, j)
+        reason = _link_mismatch(Y, v, _link(Y, v), tag)
+        if reason is not None:
+            raise InternalError(
+                f"link at {Y.vertices[v]} is not {_MODELS[tag]}: {reason}")
 
 
 # ---------------------------------------------------------------------------

@@ -190,9 +190,9 @@ def count_calls(monkeypatch, targets):
     # the directed counts come from the hyperplanes of the scan
     (["check-special", "--fixture", "s9-index16", "--wrap", "8"],
      {"hyperplanes": 1}),
-    # link tags at the first vertex of each height, one model each
+    # link tags at the first vertex of each height
     (["build-complex", "--fixture", "s9-index16", "--wrap", "8"],
-     {"vertex_link": 8, "_model_ids": 10}),
+     {"vertex_link": 8}),
     # rho_j once per residue of the quotient's period, shared by the
     # torsion check, every complex of the wrap tower and the confirm path
     (["check-special", "--bits", "1110", "--stabilize"],
@@ -207,7 +207,7 @@ def test_each_fact_is_computed_once(runner, monkeypatch, args, want):
     counts = count_calls(monkeypatch, [
         (cubical.QuotientCubeComplex, "__init__"),
         (cubical, "specialness"), (cubical, "hyperplanes"),
-        (cubical, "vertex_link"), (cubical, "_model_ids"),
+        (cubical, "vertex_link"),
         (quotients, "stabilizer_image")])
     res = run(runner, *args)
     assert res.exit_code in (0, 1), res.output

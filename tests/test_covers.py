@@ -3,10 +3,14 @@
 import pytest
 
 from gbbkit.covers import build_cover, lifts_to_loop, pullback
+from gbbkit.cubical import build_quotient, cylinders, hyperplanes, specialness
 from gbbkit.errors import CoverError
-from gbbkit.fixtures import square_complex, square_cover
+from gbbkit.fixtures import cycle_complex, square_complex, square_cover
 from gbbkit.groups import Permutation, PermutationGroup
-from gbbkit.simplicial import SimplicialMap, build_complex
+from gbbkit.intsets import PeriodicSet
+from gbbkit.presentation import GbbPresentation
+from gbbkit.quotients import cocycle_recipe
+from gbbkit.simplicial import SimplicialComplex, SimplicialMap, build_complex
 from test_quotient_reference import reference_loop_words
 
 
@@ -97,3 +101,53 @@ def test_pullback_along_identity_and_collapse():
     res2 = pullback(cover, f, base_vertex="s")
     assert len(res2.components) == 2
     assert res2.stabilizer.order == 1
+
+
+# --- the total space, built only when read -------------------------------------
+
+
+def eager_total(L, deck, full):
+    """The total space as build_cover once assembled it on every call: the
+    lift through each fiber point g of each maximal simplex, with least
+    vertex u0, places w at g * label(u0, w)."""
+    deck_elems = list(deck)
+    total_max = []
+    for s in L.maximal_simplices:
+        vs = sorted(s, key=L.vertex_position)
+        for g in deck_elems:
+            total_max.append(frozenset(
+                [(vs[0], g)] + [(w, g * full[(vs[0], w)]) for w in vs[1:]]))
+    return SimplicialComplex([(u, g) for u in L.vertices for g in deck_elems],
+                             total_max)
+
+
+def cycle_cover(p):
+    """The 4-cycle with deck Z/p, a p-cycle on the edge (v0, v1)."""
+    L = cycle_complex(4)
+    g = Permutation.from_cycles(p, tuple(range(p)))
+    return L, build_cover(L, PermutationGroup(p, [g]), {("v0", "v1"): g}, "v0")
+
+
+@pytest.mark.parametrize("make", [square_cover, lambda: cycle_cover(5)],
+                         ids=["square", "Z/5"])
+def test_cube_pipeline_never_builds_the_total_space(make):
+    L, cover = make()
+    q = cocycle_recipe(GbbPresentation(L, cover,
+                                       PeriodicSet.multiples(cover.deck.order)))
+    Y = build_quotient(q.presentation, q, q.period)
+    hyperplanes(Y)
+    specialness(Y)
+    cylinders(Y)
+    assert "total" not in vars(cover)
+
+
+@pytest.mark.parametrize("make", [square_cover, lambda: cycle_cover(5),
+                                  lambda: cycle_cover(101)],
+                         ids=["square", "Z/5", "Z/101"])
+def test_total_space_matches_the_eager_build(make):
+    L, cover = make()
+    assert "total" not in vars(cover)
+    want = eager_total(L, cover.deck, cover.labelling)
+    assert cover.total.vertices == want.vertices
+    assert cover.total.maximal_simplices == want.maximal_simplices
+    assert cover.total is cover.total

@@ -6,14 +6,22 @@ every cell's coordinates by group products and keys its incidence by Edge
 objects, union-find over Edge-keyed dicts for hyperplanes, cylinders and
 cylinder classes, an osculation scan that visits every vertex, and link
 models taken from ``octahedralize``.  The library now stores cells by
-position, runs union-find on int lists, scans the other vertices of a
-height only when its first vertex has an osculation, and builds the doubled
-complexes' 1-skeletons in closed form.  Cells, incidence, hyperplanes,
-specialness reports and witnesses, cylinders, link tags and certificate
-messages must agree."""
+position, runs union-find on int lists, and scans the other vertices of a
+height only when its first vertex has an osculation.  Cells, incidence,
+hyperplanes, specialness reports and witnesses, cylinders and link tags
+must agree.
 
+Also kept is the two-model link certificate, which checked the heights in
+S against the closed-form 1-skeleton of S(L) and the injective heights
+against that of S(M), built from the cover's total space.  The library
+checks every height against one doubled derived graph; at the heights the
+two-model certificate checked, verdicts and messages must agree."""
+
+import copy
+import functools
 import heapq
 import itertools
+import re
 
 import pytest
 
@@ -24,6 +32,7 @@ from gbbkit.cubical import (Edge, Square, build_quotient, cylinders,
                             vertical_shift_permutation)
 from gbbkit.errors import InternalError
 from gbbkit.fixtures import square_presentation, square_quotient_bits
+from gbbkit.groups import Subgroup
 from gbbkit.quotients import hw_product_quotient, stabilizer_image
 from gbbkit.simplicial import octahedralize
 
@@ -145,22 +154,101 @@ def ref_doubled(R, tag):
     return R.link_models[tag]
 
 
-def doubled(Y, tag):
-    """The library's model of ``tag`` in the reference's form:
-    (vertices, edges)."""
-    nodes, _, edges = cubical._model_ids(Y, tag)
-    return nodes, frozenset(edges.values())
+# --- the two-model certificate the derived-graph check replaced ------------
 
 
-def install_model(Y, tag, nodes, edges):
-    """Put a (damaged) model of ``tag`` into Y's cache, with the ids
-    ``_model_ids`` gives and the id n = |nodes|, which no link end maps
-    to, for an edge end off the vertices."""
-    ids = {x: i for i, x in enumerate(nodes)}
-    n = len(ids)
-    Y._models[tag] = nodes, ids, {
-        cubical._edge_id(*(ids.get(x, n) for x in e), n + 1): e
-        for e in edges}
+def old_model(Y, tag):
+    """The doubled complex ``tag`` as (vertices, edges), built as the
+    two-model certificate built it: V x {+1, -1} and the edges
+    {(a, s), (b, t)}, with V and the edges those of L for 'S(L)', and for
+    'S(M)' those of the cover's total space with each vertex (u, g)
+    renamed (u, g h(u)^-1)."""
+    cover = Y.presentation.cover
+    if tag == "S(L)":
+        K = Y.presentation.L
+        name = {x: x for x in K.vertices}
+    else:
+        K = cover.total
+        name = {(u, g): (u, g * cover.h[u].inverse()) for u, g in K.vertices}
+    signs = (1, -1)
+    return (frozenset((name[x], s) for x in K.vertices for s in signs),
+            frozenset(frozenset(((name[a], s), (name[b], t)))
+                      for a, b in K.edges() for s in signs for t in signs))
+
+
+def old_link_mismatch(Y, v, link, tag, model):
+    """The two-model certificate at the vertex at position v against the
+    model ``tag``.  At 'S(M)' heights rho_j is injective, and the model's
+    vertices (u, g) are named (u, rho_j(g)), and the link ends by their
+    offsets, rather than the offsets pulled back through rho_j^-1: a
+    renaming by a bijection, which keeps the verdict and lets the messages
+    be compared with the derived-graph check's."""
+    nodes, edges = model
+    j, r = Y.vertices[v]
+    if tag == "S(M)":
+        rename = {(u, g): (u, Y.rho[j][g]) for (u, g), _ in nodes}
+        nodes = {(rename[x], s) for x, s in nodes}
+        edges = {frozenset((rename[x], s) for x, s in e) for e in edges}
+    phi = {}
+    for end in link:
+        e, role = cubical._end(Y, end)
+        sign = 1 if role == "up" else -1
+        if tag == "S(L)":
+            phi[end] = (e.label, sign)
+        else:
+            reached = e.q if role == "up" else e.q * Y.tau[e.label]
+            phi[end] = ((e.label, r * reached.inverse()), sign)
+    name = functools.partial(cubical._end, Y)
+    back = {}
+    for end, image in phi.items():
+        if image not in nodes:
+            return (f"link end {name(end)} maps to {image}, not a vertex of "
+                    f"{tag}")
+        if image in back:
+            return (f"link ends {name(back[image])} and {name(end)} both map "
+                    f"to {image}")
+        back[image] = end
+    if len(back) != len(nodes):
+        missing = min(nodes - back.keys(), key=repr)
+        return f"no link end maps to the vertex {missing} of {tag}"
+    hit = set()
+    for a, near in link.items():
+        for b in near:
+            image = frozenset((phi[a], phi[b]))
+            if image not in edges:
+                return (f"link edge {name(a)} -- {name(b)} maps to {phi[a]} "
+                        f"-- {phi[b]}, not an edge of {tag}")
+            hit.add(image)
+    if len(hit) != len(edges):
+        x, y = min((sorted(e, key=repr) for e in edges - hit), key=repr)
+        return (f"no link edge {name(back[x])} -- {name(back[y])} over the "
+                f"edge {x} -- {y} of {tag}")
+    return None
+
+
+def old_tags(Y):
+    """The model the two-model certificate checked each height against:
+    S(L) in S, S(M) outside S where rho_j is injective, and none at the
+    other heights."""
+    order = Y.presentation.cover.deck.order
+    return {j: "S(L)" if j in Y.presentation.S else "S(M)"
+            for j in range(Y.N)
+            if j in Y.presentation.S or Y.P[j].order == order}
+
+
+def old_validate(Y, models):
+    """The two-model certificate's message, or None: the heights in S
+    first, then the others it checks."""
+    tags = old_tags(Y)
+    for tag, model in (("S(L)", "the doubled base"),
+                       ("S(M)", "the doubled cover total space")):
+        for j in sorted(j for j, t in tags.items() if t == tag):
+            v = Y._height_start[j]
+            reason = old_link_mismatch(Y, v, cubical._link(Y, v), tag,
+                                       models[tag])
+            if reason is not None:
+                return f"link at {Y.vertices[v]} is not {model}: {reason}"
+    return None
 
 
 def ref_link_mismatch(R, v, link, tag):
@@ -433,8 +521,8 @@ def assert_same(Y, R, name, all_links):
         assert cubical._cylinder_classes(Y, u, through) == (
             ref_cylinder_classes(R, u, through)), (name, u)
 
-    assert doubled(Y, "S(L)") == ref_doubled(R, "S(L)"), name
-    assert doubled(Y, "S(M)") == ref_doubled(R, "S(M)"), name
+    assert old_model(Y, "S(L)") == ref_doubled(R, "S(L)"), name
+    assert old_model(Y, "S(M)") == ref_doubled(R, "S(M)"), name
     vertices = Y.vertices if all_links else [
         v for i, v in enumerate(Y.vertices) if i in Y._height_start]
     for v in vertices:
@@ -474,29 +562,78 @@ def test_scan_skips_heights_without_osculations(monkeypatch):
 # --- certificate messages --------------------------------------------------------
 
 
+def own_eta(Y):
+    """Give Y copies of its presentation, cover and voltages eta, which
+    other complexes share, and return the copy of eta."""
+    Y.presentation = copy.copy(Y.presentation)
+    Y.presentation.cover = copy.copy(Y.presentation.cover)
+    Y.presentation.cover.eta = dict(Y.presentation.cover.eta)
+    return Y.presentation.cover.eta
+
+
+def with_P(Y, j, elements):
+    """Give Y the set ``elements`` in place of P_j."""
+    Y.P = {**Y.P, j: Subgroup(Y.Q.identity().parent_key(), (),
+                              frozenset(elements))}
+
+
 def tamperings():
-    """(description, function) pairs that damage a complex's link models in
-    ways that reach each of the certificate's messages."""
+    """(description, function) pairs that damage the derived-graph check's
+    input, the voltages eta or a set P_j, in ways that reach each of the
+    certificate's messages.  Each takes the complex and the two-model
+    certificate's models and returns the first height it damages, or None
+    where it finds nothing to damage; a damage to eta is made to the
+    models too."""
 
-    def drop_edge(Y, tag):
-        nodes, edges = Y[tag]
-        Y[tag] = (nodes, edges - {min(edges, key=lambda e: sorted(map(repr, e)))})
+    def drop_edge(Y, models):
+        a, b = min(Y.presentation.L.edges(), key=lambda e: sorted(map(str, e)))
+        eta = own_eta(Y)
+        del eta[(a, b)], eta[(b, a)]
+        for tag, (nodes, edges) in models.items():
+            # the base vertex of a model vertex
+            label = (lambda x: x[0]) if tag == "S(L)" else (lambda x: x[0][0])
+            models[tag] = nodes, frozenset(
+                e for e in edges if {label(x) for x in e} != {a, b})
+        return 0
 
-    def add_edge(Y, tag):
-        nodes, edges = Y[tag]
-        a, b = sorted(nodes, key=repr)[:2]
-        Y[tag] = (nodes, edges | {frozenset((a, b))})
+    def add_edge(Y, models):
+        L = Y.presentation.L
+        a, b = next((a, b) for a, b in itertools.combinations(L.vertices, 2)
+                    if not L.has_simplex({a, b}))
+        eta, deck = own_eta(Y), Y.presentation.cover.deck
+        eta[(a, b)] = eta[(b, a)] = deck.identity
+        lifts = {"S(L)": [(a, b)],
+                 "S(M)": [((a, g), (b, g)) for g in deck]}
+        for tag, (nodes, edges) in models.items():
+            models[tag] = nodes, edges | {
+                frozenset(((x, s), (y, t))) for x, y in lifts[tag]
+                for s in (1, -1) for t in (1, -1)}
+        return 0
 
-    def drop_vertex(Y, tag):
-        nodes, edges = Y[tag]
-        Y[tag] = (nodes - {min(nodes, key=repr)}, edges)
+    def drop_vertex(Y, models):
+        j = next((j for j in range(Y.N) if Y.P[j].order > 2), None)
+        if j is not None:
+            P = Y.P[j].elements
+            with_P(Y, j, P - {max(P, key=lambda x: x.coords)})
+        return j
 
-    def add_vertex(Y, tag):
-        nodes, edges = Y[tag]
-        Y[tag] = (nodes | {("extra", 1)}, edges)
+    def add_vertex(Y, models):
+        extra = max(Y.Q.elements(), key=lambda x: x.coords)
+        with_P(Y, 0, Y.P[0].elements | {extra})
+        return 0
 
     return [("drop edge", drop_edge), ("add edge", add_edge),
             ("drop vertex", drop_vertex), ("add vertex", add_vertex)]
+
+
+# what each damage makes the certificate say
+MIRRORED = {"drop edge", "add edge"}
+WITNESS = {
+    "drop edge": r"link edge \(E.*\) -- \(E.*\) maps to .*, not an edge of",
+    "add edge": r"no link edge \(E.*\) -- \(E.*\) over the edge .* of",
+    "drop vertex": r"link end \(E.*\) maps to .*, not a vertex of",
+    "add vertex": r"no link end maps to the vertex .* of",
+}
 
 
 def new_message(Y):
@@ -509,18 +646,58 @@ def new_message(Y):
 
 @pytest.mark.parametrize("description,tamper", tamperings())
 def test_certificate_messages_match(description, tamper):
+    """Damage to eta reaches every height; the messages equal the two-model
+    certificate's on the same damage to its models, at the first height and
+    at the first S(M) height.  Damage to a P_j is named at that height."""
+    damaged = 0
     for name, pres, q, N in FIXTURES[:-1]:
-        for tag in ("S(L)", "S(M)"):
-            Y = build_quotient(pres, q, N)
-            R = ReferenceComplex(pres, q, N)
-            assert new_message(Y) is None and ref_validate(R) is None
-            assert doubled(Y, tag) == ref_doubled(R, tag)
-            tamper(R.link_models, tag)
-            install_model(Y, tag, *R.link_models[tag])
-            message = new_message(Y)
-            assert message == ref_validate(R), (name, description, tag)
-            if tag == "S(L)":
-                assert message is not None, (name, description)
+        Y = build_quotient(pres, q, N)
+        models = {tag: old_model(Y, tag) for tag in ("S(L)", "S(M)")}
+        assert new_message(Y) is None and old_validate(Y, models) is None
+        j = tamper(Y, models)
+        if j is None:
+            continue
+        message = new_message(Y)
+        if description in MIRRORED:
+            assert message == old_validate(Y, models), (name, description)
+            injective = [i for i, tag in old_tags(Y).items() if tag == "S(M)"]
+            for i in injective[:1]:
+                v = Y._height_start[i]
+                link = cubical._link(Y, v)
+                assert cubical._link_mismatch(Y, v, link, "S(M)") == (
+                    old_link_mismatch(Y, v, link, "S(M)", models["S(M)"]))
+        damaged += 1
+        assert re.match(rf"link at \({j}, .*\) is not the doubled .*: "
+                        rf"{WITNESS[description]}", message), (name, message)
+    assert damaged
+
+
+def test_derived_graph_check_matches_the_two_model_certificate():
+    """At every height the two-model certificate checks, on every member of
+    FIXTURES (the 15 bit patterns at N and 2N among them), the derived-graph
+    check reads the same tag and gives the same verdict and message, on the
+    complex as built and with tau(u) moved by each generator of Q."""
+    verdicts = set()
+    for name, pres, q, N in FIXTURES:
+        Y = build_quotient(pres, q, N, validate_links=False)
+        models = {tag: old_model(Y, tag) for tag in ("S(L)", "S(M)")}
+        tau = Y.tau
+        units = [Y.Q.element([int(i == k) for i in range(len(Y.Q.factors))])
+                 for k in range(len(Y.Q.factors))]
+        for move in [None] + [(u, g) for u in pres.L.vertices for g in units]:
+            Y.tau = dict(tau)
+            if move is not None:
+                u, g = move
+                Y.tau[u] = Y.tau[u] * g
+            for j, tag in old_tags(Y).items():
+                assert cubical._link_tag(Y, j) == tag, (name, j)
+                v = Y._height_start[j]
+                link = cubical._link(Y, v)
+                reason = cubical._link_mismatch(Y, v, link, tag)
+                assert reason == old_link_mismatch(Y, v, link, tag,
+                                                   models[tag]), (name, move, j)
+                verdicts.add((tag, reason is None))
+    assert verdicts == {("S(L)", True), ("S(M)", True), ("S(M)", False)}
 
 
 def test_perturbed_tau_fails_at_the_same_link():

@@ -8,6 +8,7 @@ cover by networkx VF2.  Cylinder stabilizers, now read off coordinate
 differences, are compared with the brute-force translation test."""
 
 import functools
+import itertools
 
 import networkx as nx
 import pytest
@@ -15,15 +16,16 @@ import pytest
 from gbbkit import cubical
 from gbbkit.covers import build_cover
 from gbbkit.cubical import build_quotient, cylinders, vertex_link
-from gbbkit.errors import InternalError
+from gbbkit.errors import InternalError, QuotientError
 from gbbkit.fixtures import (cycle_complex, single_edge_trivial,
                              square_index16_quotient, square_presentation,
                              square_quotient_bits, triple_cover_presentation,
                              triple_cover_quotient)
-from gbbkit.groups import Permutation, PermutationGroup
+from gbbkit.groups import AbelianGroup, Permutation, PermutationGroup
 from gbbkit.intsets import PeriodicSet
 from gbbkit.presentation import GbbPresentation
-from gbbkit.quotients import cocycle_recipe, hw_product_quotient
+from gbbkit.quotients import (cocycle_recipe, hw_product_quotient,
+                              kernel_torsion_free, verify_abelian_exact)
 from gbbkit.simplicial import octahedralize
 
 # --- the per-vertex VF2 oracle ----------------------------------------------
@@ -210,29 +212,106 @@ def test_perturbed_tau_names_link_edge():
 def test_dropped_doubled_edge_names_link_edge():
     Y = build_quotient(square_presentation(),
                        square_quotient_bits((1, 0, 0, 0)), 2)
-    nodes, ids, edges = cubical._model_ids(Y, "S(L)")
-    dropped = frozenset({("w", 1), ("x", -1)})
-    Y._models["S(L)"] = (nodes, ids,
-                         {i: e for i, e in edges.items() if e != dropped})
+    # the base edge {w, x} loses its voltage, as if it were no edge of L
+    eta = Y.presentation.cover.eta
+    del eta[("w", "x")], eta[("x", "w")]
     with pytest.raises(InternalError,
                        match=r"link at \(0, .*\) is not the doubled base: "
                              r"link edge .* maps to .* not an edge of S\(L\)"):
         cubical._validate_all_links(Y)
-    # the same tampering makes vertex_link stop certifying the height
+    # the same damage makes vertex_link stop certifying the height
     assert vertex_link(Y, Y.vertices[0])[1] == "unknown"
 
 
 def test_extra_doubled_edge_names_missing_link_edge():
     Y = build_quotient(square_presentation(),
                        square_quotient_bits((1, 0, 0, 0)), 2)
-    nodes, ids, edges = cubical._model_ids(Y, "S(L)")
     # w and y are opposite corners of the square base
-    extra = cubical._edge_id(ids[("w", 1)], ids[("y", 1)], len(ids) + 1)
-    Y._models["S(L)"] = (nodes, ids, {
-        **edges, extra: frozenset({("w", 1), ("y", 1)})})
+    eta, deck = Y.presentation.cover.eta, Y.presentation.cover.deck
+    eta[("w", "y")] = eta[("y", "w")] = deck.identity
     with pytest.raises(InternalError,
-                       match=r"no link edge \(E\(j=0,w,.*'up'\) -- "
-                             r"\(E\(j=0,y,.*'up'\) over the edge "
-                             r"\('w', 1\) -- \('y', 1\) of S\(L\)"):
+                       match=r"no link edge \(E\(j=1,w,.*'down'\) -- "
+                             r"\(E\(j=1,y,.*'down'\) over the edge "
+                             r"\('w', -1\) -- \('y', -1\) of S\(L\)"):
         cubical._validate_all_links(Y)
 
+
+# --- torsion heights ---------------------------------------------------------
+
+
+def torsion_bits():
+    """The bit patterns whose quotient kernel has torsion."""
+    patterns = (tuple((n >> i) & 1 for i in range(4)) for n in range(1, 16))
+    return [bits for bits in patterns
+            if not kernel_torsion_free(square_quotient_bits(bits))[0]]
+
+
+def z4_quotients(m, labellings=None):
+    """The quotients among the Z/4 labellings of the 4-cycle whose cover
+    has deck Z/4, with S = mZ: theta(v_i, v_i+1) is the i-th value of each
+    labelling, all 256 of them by default."""
+    L = cycle_complex(4)
+    c = Permutation.from_cycles(4, (0, 1, 2, 3))
+    cover = build_cover(L, PermutationGroup(4, [c]), {("v3", "v0"): c}, "v0")
+    pres = GbbPresentation(L, cover, PeriodicSet.multiples(m))
+    T = AbelianGroup((4,))
+    edges = [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v0")]
+    out = []
+    for values in labellings or itertools.product(range(4), repeat=4):
+        try:
+            out.append(verify_abelian_exact(
+                pres, T, {e: T.element((x,)) for e, x in zip(edges, values)}))
+        except QuotientError:
+            pass
+    return out
+
+
+def test_every_height_is_certified(monkeypatch):
+    """The 7 torsion bit patterns and the Z/4 family, at their periods and
+    twice them, build with their links validated, and the certificate reads
+    the link at the first vertex of every height, the torsion heights (where
+    1 <= |P_j| < |deck| outside S) included, each certified with its tag."""
+    bits = torsion_bits()
+    assert len(bits) == 7
+    family = [square_quotient_bits(b) for b in bits]
+    family += z4_quotients(4) + z4_quotients(2)
+    assert len(family) == 7 + 256 + 128
+    read = []
+    link = cubical._link
+
+    def reading_link(Y, v):
+        read.append(v)
+        return link(Y, v)
+
+    monkeypatch.setattr(cubical, "_link", reading_link)
+    tags = set()
+    for q in family:
+        pres, order = q.presentation, q.presentation.cover.deck.order
+        for N in (q.period, 2 * q.period):
+            read.clear()
+            Y = build_quotient(pres, q, N, validate_links=True)
+            assert read == Y._height_start[:-1]
+            for j in range(N):
+                tag = vertex_link(Y, Y.vertices[Y._height_start[j]])[1]
+                if j not in pres.S and Y.P[j].order < order:
+                    assert tag == ("S(L)" if Y.P[j].order == 1
+                                   else "quotient-of-S(M)")
+                    tags.add(tag)
+    assert tags == {"S(L)", "quotient-of-S(M)"}
+
+
+def test_perturbed_tau_names_link_end_at_a_torsion_height():
+    # theta(v0, v1) = 2 with S = 4Z: rho_1 has the image P_1 = {0, 2} of
+    # order 2 in the deck Z/4; moving tau(v1) by 1 takes the offset of every
+    # v1-edge arriving at height 1 out of P_1
+    (q,) = z4_quotients(4, [(2, 0, 0, 0)])
+    Y = build_quotient(q.presentation, q, q.period)
+    assert Y.P[1].order == 2
+    Y.tau = dict(Y.tau)
+    Y.tau["v1"] = Y.tau["v1"] * Y.Q.element((1,))
+    with pytest.raises(InternalError,
+                       match=r"link at \(1, .*\) is not the doubled quotient "
+                             r"of the cover total space: link end "
+                             r"\(E\(j=0,v1,.*'down'\) maps to .*, not a "
+                             r"vertex of quotient-of-S\(M\)"):
+        cubical._validate_all_links(Y)

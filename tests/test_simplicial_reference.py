@@ -18,7 +18,7 @@ import random
 import networkx as nx
 import pytest
 
-from gbbkit.covers import build_cover, pullback
+from gbbkit.covers import RegularCover, build_cover, pullback
 from gbbkit.fixtures import (annulus_complex, cycle_complex, fixture_names,
                              load_fixture, rose_graph, square_complex,
                              square_cover)
@@ -216,9 +216,23 @@ def test_small_graph_complexes_match_reference():
 # --- library families ---------------------------------------------------------
 
 
+def covers_in(obj):
+    """The covers a fixture holds, directly or through its presentation."""
+    if isinstance(obj, tuple):
+        return [c for x in obj for c in covers_in(x)]
+    if isinstance(obj, RegularCover):
+        return [obj]
+    for attr in ("cover", "presentation"):
+        if hasattr(obj, attr):
+            return covers_in(getattr(obj, attr))
+    return []
+
+
 def test_fixtures_match_reference(built):
+    # a cover builds its total space when first read
     for name in fixture_names():
-        load_fixture(name)
+        for cover in covers_in(load_fixture(name)):
+            cover.total
     refs = check_all(built)
     assert len(refs) > 10
     assert any(r.dimension == 2 for r in refs)
