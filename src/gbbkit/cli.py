@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import click
 
 from . import __version__
-from .cubical import (build_quotient, hyperplane_counts, shift_stable_period,
-                      specialness, vertex_link)
+from .cubical import (_link_tag, build_quotient, hyperplane_counts,
+                      shift_stable_period, specialness)
 from .dehn import CyclicPresentation, Word, is_identity, small_cancellation_check
 from .errors import GbbError, InternalError
 from .fixtures import (fixture_names, load_fixture, square_presentation,
@@ -210,11 +210,10 @@ def build_complex_cmd(fixture, bits, quotient_file, wrap, dump_cells, as_json):
         env.certificate_modes.append(q.mode)
         env.verdicts.update(Y.counts())
         env.verdicts["links_validated"] = True
-        # translation by Q carries the link tag of the first vertex of a
-        # height, the one build_quotient certifies, to the whole height
-        env.verdicts["link_types"] = sorted(
-            {vertex_link(Y, Y.vertices[v])[1] for v in Y._height_start[:-1]}
-        )
+        # build_quotient has certified each height's link against its tag,
+        # and translation by Q carries it to the whole height
+        env.verdicts["link_types"] = sorted({_link_tag(Y, j)
+                                             for j in range(Y.N)})
         if dump_cells:
             env.verdicts["cells"] = _cell_dump(Y)
         env.emit(as_json)

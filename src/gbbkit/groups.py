@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import GroupError
 from .intsets import PeriodicSet
@@ -59,7 +60,11 @@ class Permutation:
         images, others = self.images, other.images
         if len(images) != len(others):
             raise GroupError("permutation size mismatch")
-        return Permutation._unchecked(tuple(map(images.__getitem__, others)))
+        if len(others) < 2:
+            # degree 0 or 1: only the identity, and itemgetter returns a
+            # tuple from two keys up
+            return self
+        return Permutation._unchecked(itemgetter(*others)(images))
 
     def inverse(self):
         inv = [0] * self.size

@@ -105,6 +105,23 @@ def test_composition_is_functional():
     assert (p * q).images == tuple(p(q(i)) for i in range(3))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_composition_at_the_smallest_degrees(n):
+    """Degrees 0 and 1 hold only the identity, and their products are
+    image tuples like any other; degree 2 is the first with a swap."""
+    for p in (Permutation(tuple(range(n))), Permutation.identity(n)):
+        for q in (p, Permutation(tuple(range(n)))):
+            assert type((p * q).images) is tuple
+            assert p * q == Permutation(tuple(range(n)))
+            assert (p * q).is_identity() and (p * q).size == n
+    swap = Permutation(tuple(reversed(range(n))))
+    assert (swap * swap).is_identity()
+    assert (swap * Permutation.identity(n)).images == swap.images
+    assert PermutationGroup(n, []).order == 1
+    if n == 2:
+        assert not swap.is_identity() and PermutationGroup(2, [swap]).order == 2
+
+
 @given(st.integers(min_value=1, max_value=7), st.integers())
 @settings(max_examples=40)
 def test_inverse_and_order(n, seed):

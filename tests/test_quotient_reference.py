@@ -10,9 +10,14 @@ orders of the theta images, checks rho_j on the deck generators only,
 takes the image to be the set of values, and ranks edges by repr once per
 call.  Verdicts, witnesses, every rho_j over the old modulus, its image
 and every loop list must agree.  The label kernel of the exact
-certificate was enumerated over the box of residues; the library now
-takes the Schreier generators of one breadth-first walk, which must span
-the same lattice.  Relators over any target were checked on every reduced
+certificate was enumerated over the box of residues, then spanned by the
+Schreier generators of one breadth-first walk, and theta was tested on
+each generator; the torsion check walked the deck group once per residue
+outside S.  For an abelian target the library now reads both off rho_1:
+the label kernel through rho_1's clash check, the torsion through the
+orders of its values.  The walk's generators must span the box's lattice,
+and both replaced checks, kept here, must give the library's verdicts and
+witnesses.  Relators over any target were checked on every reduced
 loop up to a length window; the library now decides them exactly on the
 fundamental cycles of the cover, and must agree with the window wherever
 the window reaches far enough.  Those cycles were rebuilt from the path
@@ -34,7 +39,7 @@ from math import lcm
 
 import pytest
 
-from gbbkit import groups
+from gbbkit import groups, quotients
 from gbbkit.covers import RegularCover, build_cover, lifts_to_loop
 from gbbkit.errors import QuotientError
 from gbbkit.fixtures import (SQUARE_EDGES, annulus_complex, cycle_complex,
@@ -45,13 +50,12 @@ from gbbkit.fixtures import (SQUARE_EDGES, annulus_complex, cycle_complex,
 from gbbkit.groups import (AbelianElement, AbelianGroup, Permutation,
                            PermutationGroup, TupleElement, WreathElement,
                            cayley_walk, power_product, subgroup_closure)
-from gbbkit.intsets import PeriodicSet
+from gbbkit.intsets import PeriodicSet, gcd_of_set
 from gbbkit.presentation import GbbPresentation, loops_upto
 from gbbkit.quotients import (FiniteQuotient, _complete_theta,
-                              _label_kernel_generators, cocycle_recipe,
-                              hw_product_quotient, kernel_torsion_free,
-                              stabilizer_image, verify_abelian_exact,
-                              verify_bounded)
+                              cocycle_recipe, hw_product_quotient,
+                              kernel_torsion_free, stabilizer_image,
+                              verify_abelian_exact, verify_bounded)
 from gbbkit.simplicial import build_complex, subdivide_graph_edges
 
 # --- the closure oracles -------------------------------------------------------
@@ -431,7 +435,7 @@ def test_walk_matches_the_total_space_on_every_small_labelling():
         for g, word in loop_words.items():
             assert cover.lift_word(word) == g
         if cover.deck is KLEIN:
-            assert (_label_kernel_generators(labels, steps)
+            assert (schreier_kernel_generators(labels, steps)
                     == reference_walk_kernel_generators(labels))
     assert 0 < connected < len(covers)
 
@@ -525,6 +529,179 @@ def test_relator_checks_lift_no_word(monkeypatch, wreaths):
                           wreath.quotient.theta).certificate.passed
 
 
+# --- the rho_1 oracles -----------------------------------------------------------
+
+
+def schreier_kernel_generators(labels, steps):
+    """The replaced label kernel: generators of the lattice
+    {x in Z^k : prod labels[i]^{x_i} = 1}.  ``steps`` is the breadth-first
+    walk of the group the labels generate (groups.cayley_walk); naming
+    each element h by the vector w(h) of the walk's path to it, by
+    Schreier's lemma the nonzero vectors w(h) + e_i - w(h * labels[i])
+    generate the kernel.  Requires the labels to commute."""
+    k = len(labels)
+    if k == 0:
+        return []
+    for a, b in itertools.combinations(labels, 2):
+        if a * b != b * a:
+            raise QuotientError(
+                "exact verification needs commuting deck monodromy labels"
+            )
+    word = [(0,) * k]
+    gens = []
+    for w, row in zip(word, steps):
+        for i, x in enumerate(row):
+            step = w[:i] + (w[i] + 1,) + w[i + 1:]
+            if x == len(word):
+                word.append(step)
+            else:
+                vec = tuple(a - b for a, b in zip(step, word[x]))
+                if any(vec):
+                    gens.append(vec)
+    return gens
+
+
+def reference_abelian_exact(pres, target, theta):
+    """The replaced exact check for an abelian target, as the pair of its
+    conditions: (a) theta vanishes on every Schreier generator of the
+    label kernel, combined over the cycle-basis values, and (b)
+    d * theta(b) = 0 for every basis loop b."""
+    full = _complete_theta(pres, theta)
+    tau = FiniteQuotient(pres, target, full, "reference", None).tau
+    cover = pres.cover
+    values = [tau[a] * full[(a, b)] * tau[b].inverse()
+              for (a, b) in cover.cycle_basis]
+    kernel_dies = True
+    for vec in schreier_kernel_generators(list(cover.monodromy.generators),
+                                          cover.steps):
+        acc = target.identity()
+        for c, v in zip(vec, values):
+            acc = acc * v ** c
+        kernel_dies = kernel_dies and acc.is_identity()
+    d = gcd_of_set(pres.S)
+    return kernel_dies, all((v ** d).is_identity() for v in values)
+
+
+def per_residue_kernel_torsion_free(quotient):
+    """The replaced torsion check: one walk of rho_j for each residue j
+    outside S, modulo the quotient's period."""
+    pres = quotient.presentation
+    for j in range(quotient.period):
+        if j in pres.S:
+            continue
+        rho, _ = stabilizer_image(quotient, j)
+        for g, v in rho.items():
+            if v == quotient.identity and g != pres.cover.deck.identity:
+                return False, (j, g)
+    return True, None
+
+
+def labelling_families():
+    """(presentation, target) pairs whose every theta the rho_1 checks are
+    tried on: Z/4, Z/2^2, Z/8 and Z/2 x Z/4 on the 4-cycle with deck Z/4
+    at S = 4Z, 2Z and Z, and Z/2^2 and Z/4 on the chorded square with
+    deck Klein-four at S = 2Z and 4Z."""
+    square = cycle_complex(4)
+    g = Permutation.from_cycles(4, (0, 1, 2, 3))
+    cover = build_cover(square, PermutationGroup(4, [g]), {("v0", "v1"): g},
+                        "v0")
+    for m in (4, 2, 1):
+        for factors in ((4,), (2, 2), (8,), (2, 4)):
+            yield (GbbPresentation(square, cover, PeriodicSet.multiples(m)),
+                   AbelianGroup(factors))
+    chorded = chorded_square()
+    a, b = KLEIN.generators
+    cover = build_cover(chorded, KLEIN, {("v0", "v1"): a, ("v0", "v2"): b},
+                        "v0")
+    for m in (2, 4):
+        for factors in ((2, 2), (4,)):
+            yield (GbbPresentation(chorded, cover, PeriodicSet.multiples(m)),
+                   AbelianGroup(factors))
+
+
+def every_theta(pres, target):
+    L = pres.L
+    edges = [tuple(sorted(e, key=L.vertex_position)) for e in L.edges()]
+    values = list(target.elements())
+    for combo in itertools.product(values, repeat=len(edges)):
+        yield dict(zip(edges, combo))
+
+
+def test_rho_1_decides_what_the_label_kernel_decided():
+    """Every theta of the labelling families: verify_abelian_exact passes
+    exactly where the Schreier-vector check passes, names a clash of
+    rho_1 exactly where condition (a) fails, and on every quotient that
+    passes, kernel_torsion_free gives the per-residue check's verdict and
+    witness."""
+    tried = passed = torsion = clashes = 0
+    for pres, target in labelling_families():
+        for theta in every_theta(pres, target):
+            tried += 1
+            kernel_dies, cycles_die = reference_abelian_exact(pres, target,
+                                                              theta)
+            try:
+                q = verify_abelian_exact(pres, target, theta)
+            except QuotientError as err:
+                assert not (kernel_dies and cycles_die), theta
+                clash = "rho_1 is not a homomorphism at" in str(err)
+                assert clash == (not kernel_dies), theta
+                clashes += clash
+                continue
+            assert kernel_dies and cycles_die, theta
+            assert q.certificate.passed, theta
+            passed += 1
+            verdict = kernel_torsion_free(q)
+            assert verdict == per_residue_kernel_torsion_free(q), theta
+            torsion += not verdict[0]
+    assert tried == 3 * (256 + 256 + 4096 + 4096) + 2 * (1024 + 1024)
+    assert 0 < torsion < passed < tried and 0 < clashes < tried - passed
+
+
+def torsion_family():
+    """The 15 bit patterns of the square, the s9-index16 and s9-cocycle
+    fixtures, the triple cover (the p3-cocycle fixture), every
+    (k, p, edge, power) cocycle quotient of the benchmark's cube family
+    (the k-cycle, k in 4..6, with deck Z/p, p in 2, 3, 5), and the
+    hw-product of each."""
+    out = [square_quotient_bits(tuple(int(b) for b in format(i, "04b")))
+           for i in range(1, 16)]
+    out += [square_index16_quotient(), square_cocycle_quotient(),
+            triple_cover_quotient()]
+    out += [cycle_cocycle_quotient(k, p, edge, power)
+            for k in (4, 5, 6) for p in (2, 3, 5)
+            for edge in range(k) for power in range(1, p)]
+    return out + [hw_product_quotient(q) for q in out]
+
+
+def test_orders_of_rho_1_give_the_per_residue_verdicts():
+    """On 246 quotients, reading the orders of rho_1's values gives the
+    per-residue walk's verdict and witness."""
+    rows = [(kernel_torsion_free(q), per_residue_kernel_torsion_free(q))
+            for q in torsion_family()]
+    assert len(rows) == 2 * (18 + 15 * (1 + 2 + 4))
+    assert all(got == want for got, want in rows)
+    # the seven even bit patterns of the square and their hw-products
+    assert sum(not tf for (tf, _), _ in rows) == 14
+
+
+@pytest.mark.parametrize("p", [5, 101])
+def test_abelian_torsion_check_takes_one_stabilizer_image(monkeypatch, p):
+    """The torsion check of the 4-cycle cocycle with deck Z/p reads rho_1
+    alone, whatever p is: no stabilizer_image call on the verified
+    quotient, which keeps the rho_1 of its relator check, and one on a
+    copy that starts without it."""
+    from test_cli import count_calls
+
+    q = cycle_cocycle_quotient(4, p)
+    copy = FiniteQuotient(q.presentation, q.target, q.theta, q.mode,
+                          q.certificate)
+    counts = count_calls(monkeypatch, [(quotients, "stabilizer_image")])
+    assert kernel_torsion_free(q) == (True, None)
+    assert counts["stabilizer_image"] == 0
+    assert kernel_torsion_free(copy) == (True, None)
+    assert counts["stabilizer_image"] == 1
+
+
 # --- the box oracle for the label kernel ------------------------------------------
 
 
@@ -584,13 +761,13 @@ def walk_steps(labels):
 
 
 def test_label_kernel_matches_the_box(wreaths):
-    """The same generator list as the box for a single label (every
-    quotient of the family above has first Betti number 1), and the same
-    lattice for several labels."""
+    """The Schreier generators of the walk: the same generator list as
+    the box for a single label (every quotient of the family above has
+    first Betti number 1), and the same lattice for several labels."""
     singles = [q.certificate.basis_labels for q in abelian_quotients()]
     assert {len(labels) for labels in singles} == {1}
     for labels in singles:
-        assert (_label_kernel_generators(labels, walk_steps(labels))
+        assert (schreier_kernel_generators(labels, walk_steps(labels))
                 == reference_label_kernel_generators(labels))
     several = [[res.presentation.cover.lift_word(loop)
                 for loop in reference_cycle_basis(res.presentation).values()]
@@ -600,7 +777,7 @@ def test_label_kernel_matches_the_box(wreaths):
     several += itertools.product(AbelianGroup((6,)).elements(), repeat=3)
     for labels in several:
         labels = list(labels)
-        assert (hermite_basis(_label_kernel_generators(
+        assert (hermite_basis(schreier_kernel_generators(
                     labels, walk_steps(labels)), len(labels))
                 == hermite_basis(reference_label_kernel_generators(labels),
                                  len(labels)))
@@ -611,7 +788,8 @@ def test_label_kernel_past_the_box():
     g^(i j), g a 13-cycle, and S = 13Z: all six cycle-basis labels have
     order 13, so the box has 13^6 points, past its cap.  The labels
     generate a group of order 13, so the label kernel is the lattice of
-    index 13 that the Schreier generators must span."""
+    index 13 that the Schreier generators of the cover's walk must span,
+    and the cocycle quotient, which rho_1 alone certifies, kills it."""
     a = [f"a{i}" for i in range(1, 4)]
     b = [f"b{j}" for j in range(1, 5)]
     L = build_complex(a + b, [{x, y} for x in a for y in b])
@@ -625,14 +803,19 @@ def test_label_kernel_past_the_box():
     assert len(labels) == 6 and all(h.order() == 13 for h in labels)
     with pytest.raises(QuotientError, match=r"\(4826809 > 2000000\)"):
         reference_label_kernel_generators(labels)
-    for vec in cert.kernel_generators:
+    kernel = schreier_kernel_generators(labels, cover.steps)
+    for vec in kernel:
         prod = labels[0].identity_like()
         for h, c in zip(labels, vec):
             prod = prod * h ** c
         assert prod.is_identity()
-    basis = hermite_basis(cert.kernel_generators, 6)
+    basis = hermite_basis(kernel, 6)
     assert math.prod(basis[i][i] for i in range(6)) == 13
-    assert cert.passed and kernel_torsion_free(q) == (True, None)
+    assert reference_abelian_exact(q.presentation, q.target,
+                                   q.theta) == (True, True)
+    assert cert.passed and cert.kernel_generators == []
+    assert kernel_torsion_free(q) == per_residue_kernel_torsion_free(q) == (
+        True, None)
 
 
 # --- the loop-window oracle -------------------------------------------------------
