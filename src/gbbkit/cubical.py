@@ -29,10 +29,12 @@ Every cell is addressed by its position.  Q is indexed once, in
 positions of q + d over that index.  Edge (j, u, q) sits at position
 (j |V(L)| + u) |Q| + q of ``edges`` (u and q by their positions), and the
 square with lower-left side (j, u, q) over the b-th base edge at
-(j |E(L)| + b) |Q| + q of ``squares``.  The ends of an edge, the sides of
-a square and the squares at an edge are int lists, filled from translation
-tables, so no cell needs a group product; hyperplanes and cylinders are
-unions over those lists.
+(j |E(L)| + b) |Q| + q of ``squares``.  The ends of an edge and the sides
+of a square are int lists, filled from translation tables, so no cell
+needs a group product; hyperplanes and cylinders are unions over those
+lists.  The squares at a vertex are read off them only where a link is
+built: the square at q over a base edge has each corner at the coset of
+q plus an offset fixed for that height and base edge.
 
 Q acts on the complex by translating the torsor coordinate,
 (j, u, q') -> (j, u, q' + q).  The construction makes this an
@@ -72,8 +74,12 @@ edges lie in one hyperplane and whether they cross locally.  So if no
 contact at the first vertex of a height is a self- or inter-osculation, no
 contact at any vertex of that height is one.  The scan visits the first
 vertex of each height and goes on to the other vertices of that height
-only when the first has such a contact, which keeps the scan order, and so
-every witness, unchanged.
+only when the first has such a contact.  At a vertex the link ends,
+sorted by name, are bucketed by hyperplane, and an end is paired only
+with the later ends of its own hyperplane in its role and of hyperplanes
+crossing it locally both ways.  A hyperplane or pair with a witness is
+skipped, unless the vertex must still settle whether the other vertices
+of its height are visited.  So every witness is the first in scan order.
 
 Hyperplanes, the four specialness pathologies, cylinders and their
 stabilizers, and the vertical-shift stabilization analysis all operate on
@@ -85,11 +91,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CubicalError, InternalError
-from .groups import AbelianGroup, subgroup_closure
+from .groups import AbelianGroup, Subgroup, subgroup_closure
 from .quotients import FiniteQuotient, kernel_torsion_free
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Edge:
     """A vertical edge of the wrapped complex: height of its bottom end,
     base-vertex label, and torsor coordinate in Q."""
@@ -98,10 +104,11 @@ class Edge:
     label: object
     q: object  # AbelianElement
 
-    def __post_init__(self):
+    def __init__(self, j, label, q):
         # edges are the members of hyperplanes and cylinders, so hash
-        # each one once
-        object.__setattr__(self, "_hash", hash((self.j, self.label, self.q)))
+        # each one once; a frozen instance is filled in through its dict
+        d = self.__dict__
+        d["j"], d["label"], d["q"], d["_hash"] = j, label, q, hash((j, label, q))
 
     def __hash__(self):
         return self._hash
@@ -115,7 +122,7 @@ class Edge:
         return f"E(j={self.j},{self.label},{self.q.coords})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Square:
     """A square recorded by its four sides; e1/e4 share one label, e2/e3
     the other; e1, e2 are the lower sides."""
@@ -124,6 +131,10 @@ class Square:
     e2: Edge
     e3: Edge
     e4: Edge
+
+    def __init__(self, e1, e2, e3, e4):
+        d = self.__dict__
+        d["e1"], d["e2"], d["e3"], d["e4"] = e1, e2, e3, e4
 
     def sides(self):
         return (self.e1, self.e2, self.e3, self.e4)
@@ -153,14 +164,6 @@ def _unite(parent, positions):
             root = p
         elif p != root:
             parent[p] = root
-
-
-def _difference(Y, x, y):
-    """The element q_x - q_y of Q, for Q positions x and y."""
-    elements = Y._elements
-    return elements[Y._index[tuple(
-        (a - b) % f for a, b, f in zip(elements[x].coords, elements[y].coords,
-                                       Y.Q.factors))]]
 
 
 def _label_positions(Y, u):
@@ -222,12 +225,17 @@ class QuotientCubeComplex:
         self._label_index = {u: i for i, u in enumerate(L.vertices)}
         nQ, nV = len(elements), len(L.vertices)
 
-        # transport tables
+        # transport tables: rho_j = j rho_1 (the quotient is abelian-exact),
+        # one map per residue modulo the period
+        rho_1, images = quotient.rho(1)[0], []
+        for r in range(quotient.period):
+            values = tuple(v ** r for v in rho_1.values())
+            images.append((dict(zip(rho_1, values)), Subgroup(
+                values[0].parent_key(), values, frozenset(values))))
         self.rho = {}
         self.P = {}  # height -> the image of rho_j
         for j in range(N):
-            self.rho[j], self.P[j] = quotient.rho(j)
-        for j in range(N):
+            self.rho[j], self.P[j] = images[j % quotient.period]
             if j in S and self.P[j].order != 1:
                 raise InternalError("P_j nontrivial at a height in S")
         self.tau = quotient.tau
@@ -239,6 +247,7 @@ class QuotientCubeComplex:
         self.vertices = []
         self._height_start = []  # height -> position of its first vertex
         self._vertex_at = []     # height -> Q position -> vertex position
+        self._members = []       # vertex position -> its Q positions
         for j in range(N):
             cosets = [_translation(factors, p.coords)
                       for p in self.P[j].elements]
@@ -246,8 +255,10 @@ class QuotientCubeComplex:
             self._height_start.append(len(self.vertices))
             for x in range(nQ):
                 if owner[x] < 0:
-                    for shift in cosets:
-                        owner[shift[x]] = len(self.vertices)
+                    coset = sorted(shift[x] for shift in cosets)
+                    for y in coset:
+                        owner[y] = len(self.vertices)
+                    self._members.append(coset)
                     self.vertices.append((j, elements[x]))
             self._vertex_at.append(owner)
         self._height_start.append(len(self.vertices))
@@ -261,58 +272,79 @@ class QuotientCubeComplex:
             for shift in self._tau_shift:
                 self._bottom.extend(here)
                 self._top.extend([above[x] for x in shift])
-        self._ups = [[] for _ in self.vertices]    # edges rising from v
-        self._downs = [[] for _ in self.vertices]  # edges arriving at v
-        for p, (b, t) in enumerate(zip(self._bottom, self._top)):
-            self._ups[b].append(p)
-            self._downs[t].append(p)
 
         # squares, one per (height, base edge, torsor coordinate), as the
-        # positions of their sides; _squares_at lists 4 s + k for each
-        # square s with the edge as its side k
+        # positions of their sides; _corners holds, per (height, base
+        # edge), the Q positions of 0, -tau(u), -d2 - tau(u') and
+        # -d3 - tau(u'): the squares with their k-th corner at the vertex
+        # through q are those at the coset of q plus the k-th of them
+        self._minus_tau = [shift.index(0) for shift in self._tau_shift]
         self._sides = []
-        self._squares_at = [[] for _ in self.edges]
+        self._corners = []
+        tables = {}  # the offsets read rho_j, so they repeat with the period
         for j in range(N):
             j1 = (j + 1) % N
             for base_edge in L.edges():
                 u, u2 = sorted(base_edge, key=L.vertex_position)
-                eta = cover.eta[(u, u2)]
                 a, b = self._label_index[u], self._label_index[u2]
-                d2 = self.rho[j][eta].inverse()
-                d3 = self.tau[u] * self.rho[j1][eta].inverse()
-                d4 = self.tau[u2] * self.rho[1 % N][eta]
-                t2, t3, t4 = (_translation(factors, d.coords)
-                              for d in (d2, d3, d4))
+                key = (j % quotient.period, a, b)
+                if key not in tables:
+                    eta = cover.eta[(u, u2)]
+                    d2 = self.rho[j][eta].inverse()
+                    d3 = self.tau[u] * self.rho[j1][eta].inverse()
+                    d4 = self.tau[u2] * self.rho[1 % N][eta]
+                    t2, t3, t4 = (_translation(factors, d.coords)
+                                  for d in (d2, d3, d4))
+                    down = self._minus_tau[b]
+                    tables[key] = t2, t3, t4, (0, self._minus_tau[a],
+                                               t2.index(down), t3.index(down))
+                t2, t3, t4, corners = tables[key]
+                self._corners.append(corners)
                 o1, o2 = (j * nV + a) * nQ, (j * nV + b) * nQ
                 o3, o4 = (j1 * nV + b) * nQ, (j1 * nV + a) * nQ
-                for x in range(nQ):
-                    sides = (o1 + x, o2 + t2[x], o3 + t3[x], o4 + t4[x])
-                    self._check_square(sides)
-                    s = 4 * len(self._sides)
-                    self._sides.append(sides)
-                    for k, p in enumerate(sides):
-                        self._squares_at[p].append(s + k)
+                squares = list(zip(range(o1, o1 + nQ), [o2 + x for x in t2],
+                                   [o3 + x for x in t3], [o4 + x for x in t4]))
+                self._check_squares(squares)
+                if a == b:
+                    raise InternalError("adjacent square sides share a label")
+                self._sides.extend(squares)
         edges = self.edges
         self.squares = [Square(edges[p1], edges[p2], edges[p3], edges[p4])
                         for p1, p2, p3, p4 in self._sides]
+        self._planes = None  # the hyperplanes, computed on first request
+        self._links = {}     # vertex position -> link, built on first read
 
-    def _check_square(self, sides):
+    def _check_squares(self, squares):
         # lower sides share the bottom corner; vertical sides close up
-        s1, s2, s3, s4 = sides
         bottom, top = self._bottom, self._top
-        if bottom[s1] != bottom[s2]:
-            raise InternalError("square corners do not close at the bottom")
-        if top[s1] != bottom[s3]:
-            raise InternalError("square corners do not close on the left")
-        if top[s2] != bottom[s4]:
-            raise InternalError("square corners do not close on the right")
-        if top[s3] != top[s4]:
-            raise InternalError("square corners do not close at the top")
-        nQ, nV = len(self._elements), len(self._label_index)
-        if (s1 // nQ - s2 // nQ) % nV == 0:
-            raise InternalError("adjacent square sides share a label")
+        meet = [(bottom[s1], top[s1], top[s2], top[s3])
+                for s1, s2, s3, s4 in squares]
+        other = [(bottom[s2], bottom[s3], bottom[s4], top[s4])
+                 for s1, s2, s3, s4 in squares]
+        if meet != other:
+            k = next(k for a, b in zip(meet, other) if a != b
+                     for k in range(4) if a[k] != b[k])
+            raise InternalError("square corners do not close " + (
+                "at the bottom", "on the left", "on the right", "at the top")[k])
 
     # -- incidence -------------------------------------------------------
+    def __getattr__(self, name):
+        """The incidence lists of every cell, built on first read: the
+        edges rising from (``_ups``) and arriving at (``_downs``) each
+        vertex, and 4 s + k for each square s at an edge as its side k."""
+        if name not in ("_ups", "_downs", "_squares_at"):
+            raise AttributeError(name)
+        self._ups = [[] for _ in self.vertices]
+        self._downs = [[] for _ in self.vertices]
+        for p, (b, t) in enumerate(zip(self._bottom, self._top)):
+            self._ups[b].append(p)
+            self._downs[t].append(p)
+        self._squares_at = [[] for _ in self.edges]
+        for s, sides in enumerate(self._sides):
+            for k, p in enumerate(sides):
+                self._squares_at[p].append(4 * s + k)
+        return self.__dict__[name]
+
     def position(self, e):
         """The position of the edge e in ``edges``."""
         return ((e.j * len(self._label_index) + self._label_index[e.label])
@@ -380,10 +412,11 @@ _SIGN = (-1, 1)
 
 # the corners of a square pair side ends, written 2 k + role for side k:
 # bottom of e1 and e2, top of e1 = bottom of e3, top of e2 = bottom of e4,
-# top of e3 and e4; each end of each side lies in exactly one corner
+# top of e3 and e4; each end of each side lies in exactly one corner, and
+# the corners lie 0, 1, 1 and 2 heights above the square's bottom
 _CORNERS = ((0 + _UP, 2 + _UP), (0 + _DOWN, 4 + _UP),
             (2 + _DOWN, 6 + _UP), (4 + _DOWN, 6 + _DOWN))
-_PARTNER = {a: b for corner in _CORNERS for a, b in (corner, corner[::-1])}
+_RISE = (0, 1, 1, 2)
 
 # the doubled complex a link must be, by its tag
 _MODELS = {"S(L)": "the doubled base",
@@ -393,17 +426,44 @@ _MODELS = {"S(L)": "the doubled base",
 
 def _link(Y, v):
     """The link of the vertex at position v as adjacency sets over link
-    ends; link edges come from the four corners of each square at v.  The
-    corner through an end at v lies at v, because the construction checks
-    that every square's corners close."""
-    link = {2 * p + _UP: set() for p in Y._ups[v]}
-    link.update((2 * p + _DOWN, set()) for p in Y._downs[v])
-    sides, at = Y._sides, Y._squares_at
-    for end, near in link.items():
-        role = end & 1
-        for s in at[end >> 1]:
-            other = _PARTNER[2 * (s & 3) + role]
-            near.add(2 * sides[s >> 2][other >> 1] + (other & 1))
+    ends, built once per complex: one link edge for each square corner at
+    v, which the construction checks to close.  It reads only what the
+    construction stored, never eta, P_j or tau, which the certificate
+    reads afresh."""
+    link = Y._links.get(v)
+    if link is not None:
+        return link
+    nQ, nV, N = len(Y._elements), len(Y._label_index), Y.N
+    nB = len(Y._corners) // N
+    j, r = Y.vertices[v]
+    x, at, members = Y._index[r.coords], Y._vertex_at[j], Y._members
+
+    def coset(shift):
+        # the Q positions of the coset of P_j through q_x + q_shift; x is
+        # 0 at the first vertex of a height
+        if x:
+            e = Y._elements
+            shift = Y._index[tuple((a + b) % f for a, b, f in zip(
+                e[x].coords, e[shift].coords, Y.Q.factors))]
+        return members[at[shift]]
+
+    below = (j - 1) % N
+    link = {2 * ((j * nV + u) * nQ + y) + _UP: set()
+            for u in range(nV) for y in members[v]}
+    link.update((2 * ((below * nV + u) * nQ + y) + _DOWN, set())
+                for u in range(nV) for y in coset(Y._minus_tau[u]))
+    sides = Y._sides
+    for k, (a, b) in enumerate(_CORNERS):
+        sa, ra, sb, rb = a >> 1, a & 1, b >> 1, b & 1
+        height = (j - _RISE[k]) % N
+        for i in range(height * nB, (height + 1) * nB):
+            base = i * nQ
+            for y in coset(Y._corners[i][k]):
+                square = sides[base + y]
+                end_a, end_b = 2 * square[sa] + ra, 2 * square[sb] + rb
+                link[end_a].add(end_b)
+                link[end_b].add(end_a)
+    Y._links[v] = link
     return link
 
 
@@ -558,7 +618,14 @@ def hyperplanes(Y):
     """Equivalence classes of edges under the opposite-sides-of-a-square
     relation.  Opposite sides always point the same vertical way, so the
     directed classes come in matched up/down pairs over the same edge set;
-    each class is reported once, with two-sidedness asserted."""
+    each class is reported once, with two-sidedness asserted.  The classes
+    are computed once per complex; each call returns a new list."""
+    if Y._planes is None:
+        Y._planes = _hyperplanes(Y)
+    return list(Y._planes)
+
+
+def _hyperplanes(Y):
     nQ = len(Y._elements)
     nV = len(Y._label_index)
     parent = list(range(len(Y.edges)))
@@ -681,26 +748,25 @@ def specialness(Y):
 
     # two-sidedness: a square never has opposite sides with opposite
     # vertical direction in this model; assert the stronger statement that
-    # opposite sides sit at the same height offset pattern
+    # opposite sides sit at the same height offset pattern.  Opposite sides
+    # lie in one hyperplane, so the four pairs of adjacent sides each pair
+    # h1 (of s1, s4) with h2 (of s2, s3): self-intersections, one per pair,
+    # and per edge the hyperplanes of its adjacent sides (local crossings)
+    adjacent_planes = [set() for _ in Y.edges]
     for sq, (s1, s2, s3, s4) in zip(Y.squares, Y._sides):
         if s1 // per_height != s2 // per_height or (
                 s3 // per_height != s4 // per_height):
             report.non_two_sided.append(sq)
-
-    # self-intersection scan; also collect, per edge, the hyperplanes of
-    # its adjacent square sides (the local crossing data)
-    adjacent_planes = [set() for _ in Y.edges]
-    for sq, (s1, s2, s3, s4) in zip(Y.squares, Y._sides):
-        for a, b in ((s1, s2), (s1, s3), (s2, s4), (s3, s4)):
-            ha, hb = plane_at[a], plane_at[b]
-            adjacent_planes[a].add(hb)
-            adjacent_planes[b].add(ha)
-            if ha == hb:
-                report.self_intersections.append((planes[ha], sq))
+        h1, h2 = plane_at[s1], plane_at[s2]
+        adjacent_planes[s1].add(h2)
+        adjacent_planes[s4].add(h2)
+        adjacent_planes[s2].add(h1)
+        adjacent_planes[s3].add(h1)
+        if h1 == h2:
+            report.self_intersections.extend([(planes[h1], sq)] * 4)
 
     names = {}
-    seen_self = set()
-    seen_inter = set()
+    seen = set()  # the planes and plane pairs with a witness
 
     def name(end):
         p = end >> 1
@@ -708,41 +774,52 @@ def specialness(Y):
             names[p] = repr(Y.edges[p])
         return names[p], end & 1
 
-    def scan(v):
-        """Record the osculations at the vertex at position v; True when
-        it has any, recorded before or not."""
+    def scan(v, settle):
+        """Record the first witness, in scan order, of each osculation at
+        the vertex at position v that has none yet.  With ``settle``, tell
+        whether v has any osculation, recorded before or not: a plane or
+        pair with a witness is then skipped only once v has one."""
         link = _link(Y, v)
-        ends = [(end, end >> 1, plane_at[end >> 1],
-                 adjacent_planes[end >> 1]) for end in sorted(link, key=name)]
+        ends = sorted(link, key=name)
+        bucket = {}  # plane -> the places of its ends in ``ends``
+        for i, end in enumerate(ends):
+            bucket.setdefault(plane_at[end >> 1], []).append(i)
         found = False
-        for i, (end1, e1, h1, crossing1) in enumerate(ends):
-            linked = link[end1]
-            for end2, e2, h2, crossing2 in ends[i + 1:]:
-                if e1 == e2 or end2 in linked:
+        for i, end1 in enumerate(ends):
+            e1, linked = end1 >> 1, link[end1]
+            h1 = plane_at[e1]
+            # a self-osculation pairs ends of one plane in the same role
+            # (the same direction toward v), an inter-osculation ends of
+            # two planes that cross locally at both edges
+            for h2 in (h1, *adjacent_planes[e1]):
+                key = h1 if h2 == h1 else (h1, h2) if h1 < h2 else (h2, h1)
+                if h2 not in bucket or key in seen and (found or not settle):
                     continue
-                if h1 == h2:
-                    # same direction toward v means same link role
-                    if (end1 ^ end2) & 1 == 0:
-                        found = True
-                        if h1 not in seen_self:
-                            seen_self.add(h1)
-                            report.self_osculations.append(
-                                (planes[h1], (Y.edges[e1], Y.edges[e2])))
-                elif h2 in crossing1 and h1 in crossing2:
+                for k in bucket[h2]:
+                    end2 = ends[k]
+                    if k <= i or end2 in linked or (
+                            (end1 ^ end2) & 1 if h2 == h1
+                            else h1 not in adjacent_planes[end2 >> 1]):
+                        continue
                     found = True
-                    key = frozenset((h1, h2))
-                    if key not in seen_inter:
-                        seen_inter.add(key)
-                        report.inter_osculations.append(
-                            ((planes[h1], planes[h2]),
-                             (Y.edges[e1], Y.edges[e2])))
+                    if key not in seen:
+                        seen.add(key)
+                        witness = (Y.edges[e1], Y.edges[end2 >> 1])
+                        if h2 == h1:
+                            report.self_osculations.append(
+                                (planes[h1], witness))
+                        else:
+                            report.inter_osculations.append(
+                                ((planes[h1], planes[h2]), witness))
+                    break
         return found
 
     starts = Y._height_start
     for j in range(Y.N):
-        if scan(starts[j]):
+        more = starts[j + 1] - starts[j] > 1
+        if scan(starts[j], more) and more:
             for v in range(starts[j] + 1, starts[j + 1]):
-                scan(v)
+                scan(v, False)
     report.inter_osculations.sort(
         key=lambda item: sorted((item[0][0].index, item[0][1].index))
     )
@@ -781,7 +858,9 @@ def cylinders(Y):
     Translation by Q is a label-preserving automorphism that commutes with
     the vertical continuation, so it permutes the components over each
     simplex, and q stabilizes the component C through e0 exactly when
-    e0 + q lies in C."""
+    e0 + q lies in C.  The first component over a simplex has an edge of
+    every height for each label (asserted), so every other one is a
+    translate of it and shares its stabilizer, computed once per simplex."""
     L = Y.presentation.L
     N, nQ, nV = Y.N, len(Y._elements), len(Y._label_index)
     base_edges = {e: b for b, e in enumerate(L.edges())}
@@ -806,30 +885,33 @@ def cylinders(Y):
         squares_in = {}
         for s in member_squares:
             squares_in.setdefault(_find(parent, Y._sides[s][0]), []).append(s)
+        stab = None
         for root, members in _classes(parent, member_edges).items():
-            p0 = members[0]
-            block, x0 = divmod(p0, nQ)
-            stab = frozenset(_difference(Y, p % nQ, x0) for p in members
-                             if p // nQ == block)
-            cyl = Cylinder(frozenset(simplex),
-                           frozenset(Y.edges[p] for p in members),
-                           tuple(Y.squares[s] for s in squares_in.get(root, ())),
-                           stab, positions=tuple(members))
-            _assert_heights(Y, cyl)
-            out.append(cyl)
+            if stab is None:
+                # the first component: q stabilizes it when q_p - q_p0 = q
+                # for an edge p in the block of its first edge p0
+                _assert_heights(Y, simplex, members)
+                block, x0 = divmod(members[0], nQ)
+                shift = Y._elements[x0].inverse()
+                stab = frozenset(Y._elements[p % nQ] * shift for p in members
+                                 if p // nQ == block)
+            out.append(Cylinder(
+                frozenset(simplex), frozenset(Y.edges[p] for p in members),
+                tuple(Y.squares[s] for s in squares_in.get(root, ())),
+                stab, positions=tuple(members)))
     return out
 
 
-def _assert_heights(Y, cyl):
-    """Every cylinder contains an edge of every height for each of its
-    labels."""
+def _assert_heights(Y, simplex, members):
+    """The component with the edge positions ``members`` contains an edge
+    of every height for each label of ``simplex``."""
     nQ, nV = len(Y._elements), len(Y._label_index)
-    for u in cyl.label:
+    for u in simplex:
         i = Y._label_index[u]
-        heights = {p // (nQ * nV) for p in cyl.positions if p // nQ % nV == i}
+        heights = {p // (nQ * nV) for p in members if p // nQ % nV == i}
         if heights != set(range(Y.N)):
             raise InternalError(
-                f"cylinder over {sorted(map(str, cyl.label))} misses heights "
+                f"cylinder over {sorted(map(str, simplex))} misses heights "
                 f"for label {u}"
             )
 

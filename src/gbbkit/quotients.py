@@ -318,11 +318,13 @@ def star_abelian_check(quotient):
 
 
 def cocycle_recipe(pres: GbbPresentation):
-    """For a cover with cyclic deck group of prime order p and exponent
-    set pZ: transport the edge labels along an isomorphism deck -> Z/p to
-    get theta; the certificate is exact and the kernel is torsion-free:
-    rho_1 is that isomorphism, every nonzero value has order p, and so
-    rho_j = j rho_1 kills only the identity for every j outside pZ."""
+    """For a connected cover with cyclic deck group of prime order p and
+    exponent set pZ: transport the edge labels along an isomorphism
+    deck -> Z/p (the logarithm to the base of the first element of order
+    p, read off the cover's walk) to get theta; the certificate is exact
+    and the kernel is torsion-free: rho_1 is that isomorphism, every
+    nonzero value has order p, and so rho_j = j rho_1 kills only the
+    identity for every j outside pZ."""
     deck = pres.cover.deck
     p = deck.order
     if not _is_prime(p):
@@ -331,16 +333,24 @@ def cocycle_recipe(pres: GbbPresentation):
         raise QuotientError(
             f"exponent set must be {p}Z for the classifying-cocycle recipe"
         )
-    gen = next(g for g in deck if g.order() == p)
-    dlog = {}
-    acc = deck.identity
+    walk, steps = pres.cover.walk, pres.cover.steps
+    if len(walk) != p:
+        raise QuotientError("the classifying-cocycle recipe needs a "
+                            "connected cover")
+    # following a nontrivial cycle label s from the identity meets s^i at
+    # the i-th step; gen = s^m, so the logarithm to the base gen is i / m
+    k = next(k for k, x in enumerate(steps[0]) if x)
+    power, x = {}, 0
     for i in range(p):
-        dlog[acc] = i
-        acc = acc * gen
+        power[walk[x]] = i
+        x = steps[x][k]
+    gen = next(g for g in deck if g.order() == p)
+    unit = pow(power[gen], -1, p)
     target = AbelianGroup((p,))
     theta = {}
     for (a, b) in pres.L.directed_edges():
-        theta[(a, b)] = target.element((dlog[pres.cover.label(a, b)],))
+        theta[(a, b)] = target.element(
+            (power[pres.cover.label(a, b)] * unit,))
     q = verify_abelian_exact(pres, target, theta)
     tf, witness = kernel_torsion_free(q)
     if not tf:

@@ -194,12 +194,13 @@ def count_calls(monkeypatch, targets):
     # tag is read off the height
     (["build-complex", "--fixture", "s9-index16", "--wrap", "8"],
      {"vertex_link": 0, "_link_mismatch": 8}),
-    # rho_j once per residue of the quotient's period, shared by the
-    # torsion check, every complex of the wrap tower and the confirm path
+    # rho_1 alone for an abelian quotient, shared by the relator check,
+    # the torsion check and every complex of the wrap tower and the
+    # confirm path, which read rho_j = j rho_1 off it
     (["check-special", "--bits", "1110", "--stabilize"],
-     {"stabilizer_image": 2}),
+     {"stabilizer_image": 1}),
     (["check-special", "--fixture", "s9-index16", "--wrap", "8"],
-     {"stabilizer_image": 2}),
+     {"stabilizer_image": 1}),
     # and by the relator check and both torsion checks of a recipe
     (["recipe", "--kind", "wreath", "--r", "12", "--n", "3"],
      {"stabilizer_image": 2}),
@@ -517,6 +518,27 @@ def test_fuzz_quotient_files(tmp_path_factory, data):
 
 
 # --- runtime dependencies -------------------------------------------------------------
+
+
+def test_cube_pipeline_imports_only_its_chain():
+    """The cube pipeline imports ten gbbkit modules and nothing of the CLI,
+    the word problem, the file formats, numpy or networkx: every fresh
+    process compiles what it imports."""
+    src = str(Path(gbbkit.__file__).resolve().parents[1])
+    script = f"""
+import sys
+sys.path.insert(0, {src!r})
+import gbbkit.cubical, gbbkit.fixtures
+print(sorted(m for m in sys.modules if m.split(".")[0] == "gbbkit"))
+print([m for m in ("click", "gbbkit.cli", "gbbkit.dehn", "gbbkit.io_formats",
+                   "numpy", "networkx") if m in sys.modules])
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120, check=True)
+    chain = ["gbbkit"] + [f"gbbkit.{m}" for m in (
+        "covers", "cubical", "errors", "fixtures", "groups", "intsets",
+        "presentation", "quotients", "simplicial")]
+    assert out.stdout.splitlines() == [repr(chain), "[]"]
 
 
 def test_runtime_does_not_import_networkx():

@@ -25,7 +25,7 @@ import re
 
 import pytest
 
-from gbbkit import cubical
+from gbbkit import cubical, quotients
 from gbbkit.cli import _osculation_witnesses
 from gbbkit.cubical import (Edge, Square, build_quotient, cylinders,
                             hyperplanes, specialness, vertex_link,
@@ -36,6 +36,7 @@ from gbbkit.groups import Subgroup
 from gbbkit.quotients import hw_product_quotient, stabilizer_image
 from gbbkit.simplicial import octahedralize
 
+from test_cli import count_calls
 from test_link_certificate import CUBES, FIXTURES, cycle_cocycle_quotient
 
 # --- the object-keyed oracles ---------------------------------------------------
@@ -538,6 +539,54 @@ def test_cells_planes_reports_cylinders_and_links_match(family):
         Y = build_quotient(pres, q, N, validate_links=True)
         assert_same(Y, ReferenceComplex(pres, q, N), name,
                     all_links=family == "small")
+
+
+def test_transport_tables_are_multiples_of_rho_1():
+    """The builder reads rho_j = j rho_1 and its image P_j off rho_1; on
+    every quotient of both families they equal what stabilizer_image
+    gives at each height, in walk order."""
+    for name, pres, q, N in SMALL + LARGE:
+        Y = build_quotient(pres, q, N, validate_links=False)
+        for j in range(N):
+            assert (Y.rho[j], Y.P[j]) == q.rho(j), (name, j)
+
+
+@pytest.mark.parametrize("k, p, product, N", [(5, 3, True, 3),
+                                              (6, 5, False, 10)])
+def test_one_cube_job_computes_each_fact_once(monkeypatch, k, p, product, N):
+    """The cube job of the benchmark, on the |Q| = 243 product member and
+    a (6, 5, 10) cocycle member: one union-find for the hyperplanes, one
+    build of each vertex's link, shared by the certificate and the scan,
+    one stabilizer and one height check per simplex, and no
+    stabilizer_image past the relator check's rho_1."""
+    q = cycle_cocycle_quotient(k, p, 1, 2)
+    if product:
+        q = hw_product_quotient(q)
+    counts = count_calls(monkeypatch, [
+        (cubical, "_hyperplanes"), (cubical, "_assert_heights"),
+        (quotients, "stabilizer_image")])
+    built, calls = [], []
+    link = cubical._link
+
+    def recording_link(Y, v):
+        calls.append(v)
+        if v not in Y._links:
+            built.append(v)
+        return link(Y, v)
+
+    monkeypatch.setattr(cubical, "_link", recording_link)
+    Y = build_quotient(q.presentation, q, N, validate_links=True)
+    planes = hyperplanes(Y)
+    assert specialness(Y).special == product
+    cyls = cylinders(Y)
+    simplices = q.presentation.L.simplices
+    assert counts == {"_hyperplanes": 1, "_assert_heights": len(simplices),
+                      "stabilizer_image": 0}
+    assert len(planes) and len(built) == len(set(built)) < len(calls)
+    assert not hasattr(cubical, "_difference")
+    for simplex in simplices:
+        assert len({id(c.stabilizer) for c in cyls
+                    if c.label == simplex}) == 1, simplex
 
 
 def test_scan_skips_heights_without_osculations(monkeypatch):

@@ -7,10 +7,10 @@ import pytest
 from gbbkit.covers import build_cover
 from gbbkit.cubical import build_quotient, hyperplanes, specialness
 from gbbkit.errors import QuotientError
-from gbbkit.fixtures import (SQUARE_EDGES, rose_wreath_recipe,
+from gbbkit.fixtures import (SQUARE_EDGES, cycle_complex, rose_wreath_recipe,
                              square_presentation, square_quotient_bits,
                              triple_cover_presentation, triple_cover_quotient)
-from gbbkit.groups import AbelianGroup, PermutationGroup
+from gbbkit.groups import AbelianGroup, Permutation, PermutationGroup
 from gbbkit.intsets import PeriodicSet
 from gbbkit.presentation import GbbPresentation
 from gbbkit.quotients import (cocycle_recipe, hw_product_quotient,
@@ -201,6 +201,31 @@ def test_cocycle_recipe_preconditions():
     pres = square_presentation(S=PeriodicSet.multiples(4))
     with pytest.raises(QuotientError):
         cocycle_recipe(pres)
+
+
+def test_cocycle_recipe_reads_the_logarithm_off_the_walk(monkeypatch):
+    """On the 4-cycle with deck Z/101 labelled by g^3, g the first element
+    of order 101, theta is the logarithm to the base g, read off the
+    cover's walk without one permutation product; a disconnected cover
+    has no such walk and is refused."""
+    p, L = 101, cycle_complex(4)
+    g = Permutation.from_cycles(p, tuple(range(p)))
+    deck = PermutationGroup(p, [g])
+    assert next(h for h in deck if h.order() == p) == g
+    cover = build_cover(L, deck, {("v0", "v1"): g ** 3}, "v0")
+    products = []
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    q = cocycle_recipe(GbbPresentation(L, cover, PeriodicSet.multiples(p)))
+    assert products == []
+    assert {e: v.coords for e, v in q.theta.items() if v.coords != (0,)} == {
+        ("v0", "v1"): (3,), ("v1", "v0"): (p - 3,)}
+    monkeypatch.undo()
+    split = build_cover(L, deck, {("v0", "v1"): g, ("v1", "v2"): g ** -1},
+                        "v0", allow_disconnected=True)
+    with pytest.raises(QuotientError, match="needs a connected cover"):
+        cocycle_recipe(GbbPresentation(L, split, PeriodicSet.multiples(p)))
 
 
 def test_hw_product_needs_an_abelian_quotient():
