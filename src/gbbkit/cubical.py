@@ -31,10 +31,11 @@ positions of q + d over that index.  Edge (j, u, q) sits at position
 square with lower-left side (j, u, q) over the b-th base edge at
 (j |E(L)| + b) |Q| + q of ``squares``.  The ends of an edge and the sides
 of a square are int lists, filled from translation tables, so no cell
-needs a group product; hyperplanes and cylinders are unions over those
-lists.  The squares at a vertex are read off them only where a link is
-built: the square at q over a base edge has each corner at the coset of
-q plus an offset fixed for that height and base edge.
+needs a group product; hyperplanes, kept with each edge's plane index,
+and cylinders are unions over those lists.  No cell keeps incidence
+lists: the squares at a vertex are read off only where a link is built,
+the square at q over a base edge having each corner at the coset of q
+plus an offset fixed for that height and base edge.
 
 Q acts on the complex by translating the torsor coordinate,
 (j, u, q') -> (j, u, q' + q).  The construction makes this an
@@ -91,7 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CubicalError, InternalError
-from .groups import AbelianGroup, Subgroup, subgroup_closure
+from .groups import AbelianGroup, subgroup_closure
 from .quotients import FiniteQuotient, kernel_torsion_free
 
 
@@ -225,17 +226,9 @@ class QuotientCubeComplex:
         self._label_index = {u: i for i, u in enumerate(L.vertices)}
         nQ, nV = len(elements), len(L.vertices)
 
-        # transport tables: rho_j = j rho_1 (the quotient is abelian-exact),
-        # one map per residue modulo the period
-        rho_1, images = quotient.rho(1)[0], []
-        for r in range(quotient.period):
-            values = tuple(v ** r for v in rho_1.values())
-            images.append((dict(zip(rho_1, values)), Subgroup(
-                values[0].parent_key(), values, frozenset(values))))
-        self.rho = {}
-        self.P = {}  # height -> the image of rho_j
+        self.rho, self.P = {}, {}  # height -> rho_j, its image P_j
         for j in range(N):
-            self.rho[j], self.P[j] = images[j % quotient.period]
+            self.rho[j], self.P[j] = quotient.rho(j)
             if j in S and self.P[j].order != 1:
                 raise InternalError("P_j nontrivial at a height in S")
         self.tau = quotient.tau
@@ -311,8 +304,9 @@ class QuotientCubeComplex:
         edges = self.edges
         self.squares = [Square(edges[p1], edges[p2], edges[p3], edges[p4])
                         for p1, p2, p3, p4 in self._sides]
-        self._planes = None  # the hyperplanes, computed on first request
-        self._links = {}     # vertex position -> link, built on first read
+        self._planes = None    # the hyperplanes, computed on first request
+        self._plane_at = None  # with them: edge position -> plane index
+        self._links = {}       # vertex position -> link, built on first read
 
     def _check_squares(self, squares):
         # lower sides share the bottom corner; vertical sides close up
@@ -326,24 +320,6 @@ class QuotientCubeComplex:
                      for k in range(4) if a[k] != b[k])
             raise InternalError("square corners do not close " + (
                 "at the bottom", "on the left", "on the right", "at the top")[k])
-
-    # -- incidence -------------------------------------------------------
-    def __getattr__(self, name):
-        """The incidence lists of every cell, built on first read: the
-        edges rising from (``_ups``) and arriving at (``_downs``) each
-        vertex, and 4 s + k for each square s at an edge as its side k."""
-        if name not in ("_ups", "_downs", "_squares_at"):
-            raise AttributeError(name)
-        self._ups = [[] for _ in self.vertices]
-        self._downs = [[] for _ in self.vertices]
-        for p, (b, t) in enumerate(zip(self._bottom, self._top)):
-            self._ups[b].append(p)
-            self._downs[t].append(p)
-        self._squares_at = [[] for _ in self.edges]
-        for s, sides in enumerate(self._sides):
-            for k, p in enumerate(sides):
-                self._squares_at[p].append(4 * s + k)
-        return self.__dict__[name]
 
     def position(self, e):
         """The position of the edge e in ``edges``."""
@@ -619,9 +595,10 @@ def hyperplanes(Y):
     relation.  Opposite sides always point the same vertical way, so the
     directed classes come in matched up/down pairs over the same edge set;
     each class is reported once, with two-sidedness asserted.  The classes
-    are computed once per complex; each call returns a new list."""
+    are computed once per complex, with the index of each edge's class by
+    its position; each call returns a new list."""
     if Y._planes is None:
-        Y._planes = _hyperplanes(Y)
+        Y._planes, Y._plane_at = _hyperplanes(Y)
     return list(Y._planes)
 
 
@@ -639,23 +616,16 @@ def _hyperplanes(Y):
     classes = sorted(_classes(parent, range(len(Y.edges))).values(),
                      key=lambda ps: (names[ps[0] // nQ % nV],
                                      ps[0] // (nQ * nV)))
-    out = []
+    out, plane_at = [], [0] * len(Y.edges)
     for i, members in enumerate(classes):
         kinds = {p // nQ % nV for p in members}
         if len(kinds) != 1:
             raise InternalError("hyperplane with mixed labels")
         out.append(Hyperplane(i, frozenset(Y.edges[p] for p in members),
                               labels[kinds.pop()], positions=tuple(members)))
-    return out
-
-
-def _plane_at(Y, planes):
-    """The hyperplane index of each edge, by position."""
-    plane_at = [0] * len(Y.edges)
-    for h in planes:
-        for p in h.positions:
-            plane_at[p] = h.index
-    return plane_at
+        for p in members:
+            plane_at[p] = i
+    return out, plane_at
 
 
 def hyperplane_counts(planes, directed=False):
@@ -741,7 +711,7 @@ def specialness(Y):
       belong to it.  Two-sidedness holds by vertical orientation and is
       asserted via the height pattern of every square."""
     planes = hyperplanes(Y)
-    plane_at = _plane_at(Y, planes)
+    plane_at = Y._plane_at
     report = SpecialnessReport(wrap=Y.N, counts=hyperplane_counts(planes),
                                planes=planes)
     per_height = len(Y._elements) * len(Y._label_index)
@@ -970,7 +940,7 @@ def vertical_shift_permutation(Y, planes):
     """The permutation induced on hyperplanes by the height shift by the
     period of S; theta is invariant under that shift, so the map sends
     cells to cells."""
-    plane_at = _plane_at(Y, planes)
+    plane_at = Y._plane_at
     shift = (Y.presentation.S.modulus * len(Y._elements)
              * len(Y._label_index))
     return {h.index: plane_at[(h.positions[0] + shift) % len(Y.edges)]

@@ -173,10 +173,12 @@ class GodelSet:
     def __contains__(self, m):
         if m < 0:
             return False
-        if m >= 10 ** self.position_bound:
+        # m >= 10**b without that power: below 3 b bits m < 2**(3 b) <= 10**b
+        b = self.position_bound
+        if m.bit_length() > 3 * b and len(str(m)) > b:
             raise WindowError(
                 f"membership of {m} needs digit positions up to "
-                f"{len(str(m)) - 1}, certified only below {self.position_bound}",
+                f"{len(str(m)) - 1}, certified only below {b}",
                 required=len(str(m)),
             )
         pos = 0
@@ -194,12 +196,14 @@ class GodelSet:
 
     def members_below(self, bound):
         """Sorted members < bound."""
-        if bound > 10 ** self.position_bound:
+        # 10**p < bound exactly when p is below the digit count of bound - 1
+        digits = len(str(bound - 1)) if bound > 1 else 0
+        if digits > self.position_bound:
             raise WindowError(
                 f"bound {bound} exceeds the certified digit window",
-                required=len(str(bound - 1)),
+                required=digits,
             )
-        usable = sorted(p for p in self.digit_positions if 10 ** p < bound)
+        usable = sorted(p for p in self.digit_positions if p < digits)
         out = []
         for size in range(len(usable) + 1):
             for combo in itertools.combinations(usable, size):

@@ -1,7 +1,9 @@
 """JSON file formats for integer sets and quotient specifications.
 
-Malformed data raises ``InputError``; well-formed data with values the
-constructors reject raises their own ``GbbError`` subclasses."""
+Every number in them is a JSON integer: a bool, a float or a string in its
+place raises ``InputError`` naming the field, as does other malformed
+data; well-formed data with values the constructors reject raises their
+own ``GbbError`` subclasses."""
 
 from __future__ import annotations
 
@@ -11,18 +13,25 @@ from .errors import InputError
 from .groups import AbelianGroup
 from .intsets import GodelSet, PeriodicSet
 
-# what indexing, iterating or int() raise on data of the wrong shape
+# what indexing or iterating raise on data of the wrong shape
 _MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _int(value, name):
+    """``value`` if it is a JSON integer; ``name`` is its field."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def set_from_json(data):
     try:
         if data.get("kind") == "godel":
-            positions = frozenset(int(x) for x in data["S"])
-            bound = int(data.get("position_bound", max(positions, default=0) + 1))
-            return GodelSet(positions, bound)
-        modulus = int(data["modulus"])
-        residues = frozenset(int(r) for r in data["residues"])
+            positions = frozenset(_int(x, "S") for x in data["S"])
+            bound = data.get("position_bound", max(positions, default=0) + 1)
+            return GodelSet(positions, _int(bound, "position_bound"))
+        modulus = _int(data["modulus"], "modulus")
+        residues = frozenset(_int(r, "residues") for r in data["residues"])
     except _MALFORMED as err:
         raise InputError(f"malformed set JSON: {err!r}") from None
     return PeriodicSet(modulus, residues)
@@ -45,8 +54,8 @@ def quotient_spec_from_json(data):
     try:
         target_data = data["target"]
         kind = target_data["kind"]
-        factors = tuple(int(f) for f in target_data["factors"])
-        coords = {tuple(key.split(",")): [int(c) for c in value]
+        factors = tuple(_int(f, "factors") for f in target_data["factors"])
+        coords = {tuple(key.split(",")): [_int(c, "theta") for c in value]
                   for key, value in data["theta"].items()}
     except _MALFORMED as err:
         raise InputError(f"malformed quotient JSON: {err!r}") from None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .covers import build_cover, lifts_to_loop
 from .errors import QuotientError
@@ -63,7 +63,7 @@ class FiniteQuotient:
         self.theta = dict(theta)
         self.mode = mode
         self.certificate = certificate
-        self._rho = {}  # residue j mod the period -> stabilizer_image(self, j)
+        self._rho = {}  # residue j mod the period -> (rho_j, its image)
 
     def __call__(self, edge):
         return self.theta[edge]
@@ -82,13 +82,21 @@ class FiniteQuotient:
         return lcm(self.presentation.S.modulus, self.target_exponent())
 
     def rho(self, j):
-        """(rho_j, its image) as stabilizer_image gives them, evaluated
-        once per residue of j modulo the period and shared by every caller,
-        which must not change them; a rho_j that is not a homomorphism
+        """(rho_j as a dict in walk order, its image), evaluated once per
+        residue r of j modulo the period and shared by every caller, which
+        must not change them.  For an abelian target rho_r = r rho_1 is read
+        off rho_1's values; rho_1, and every rho_r of another target, is
+        stabilizer_image(self, r).  A rho_j that is not a homomorphism
         raises on every call."""
         r = j % self.period
         if r not in self._rho:
-            self._rho[r] = stabilizer_image(self, r)
+            if isinstance(self.target, AbelianGroup) and r != 1 % self.period:
+                rho_1 = self.rho(1)[0]
+                values = tuple(v ** r for v in rho_1.values())
+                self._rho[r] = dict(zip(rho_1, values)), Subgroup(
+                    values[0].parent_key(), values, frozenset(values))
+            else:
+                self._rho[r] = stabilizer_image(self, r)
         return self._rho[r]
 
     @cached_property
@@ -155,8 +163,9 @@ def verify_abelian_exact(pres: GbbPresentation, target: AbelianGroup, theta):
       (b) d * theta(b) = 0 for every basis loop b, where d generates the
           subgroup of Z generated by the exponent set (this encodes the
           n-in-S relator family, which is closed under the shifts by d).
-    rho_1 stays on the quotient for the torsion check and the cube
-    builder.  Returns the verified quotient."""
+    rho_1 stays on the quotient, which reads every other rho_j off it
+    for the torsion check and the cube builder.  Returns the verified
+    quotient."""
     full = _complete_theta(pres, theta)
     cover = pres.cover
     labels = list(cover.monodromy.generators)
@@ -260,22 +269,25 @@ def kernel_torsion_free(quotient):
     (bool, witness) with witness = (j, g) on failure: j least, and g the
     first element of the cover's walk that rho_j kills.
 
-    For an abelian target rho_j = j rho_1, so rho_j kills g exactly when
-    the order of rho_1(g) divides j, and the orders along one walk decide
-    every residue.  Other targets (the wreath powers) walk the deck group
-    once per residue."""
+    For an abelian target rho_j = j rho_1 kills g exactly when the order o
+    of rho_1(g) divides j.  Whether k o lies in S repeats in k with period
+    m / gcd(o, m), m the modulus of S, so j is the least k o outside S over
+    those k and the distinct orders o: O(m) membership tests per order,
+    whatever the period.  Other targets (the wreath powers) walk the deck
+    group once per residue."""
     pres, ident = quotient.presentation, quotient.identity
-    walk = pres.cover.walk                  # walk[0] is the identity
-    outside = [j for j in range(quotient.period) if j not in pres.S]
+    S, walk = pres.S, pres.cover.walk       # walk[0] is the identity
     if isinstance(quotient.target, AbelianGroup):
         orders = [v.order() for v in quotient.rho(1)[0].values()][1:]
-        distinct = set(orders)
-        for j in outside:
-            if any(j % o == 0 for o in distinct):
-                i = next(i for i, o in enumerate(orders) if j % o == 0)
-                return False, (j, walk[i + 1])
-        return True, None
-    for j in outside:
+        m = S.modulus
+        least = [next((k * o for k in range(m // gcd(o, m))
+                       if k * o not in S), None) for o in set(orders)]
+        j = min((j for j in least if j is not None), default=None)
+        if j is None:
+            return True, None
+        i = next(i for i, o in enumerate(orders) if j % o == 0)
+        return False, (j, walk[i + 1])
+    for j in itertools.filterfalse(S.__contains__, range(quotient.period)):
         rho, _ = quotient.rho(j)
         for g, v in rho.items():
             if v == ident and g != walk[0]:

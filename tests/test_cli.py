@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import gbbkit
 from gbbkit import cubical, dehn, quotients
 from gbbkit.cli import main
+from gbbkit.errors import InputError
+from gbbkit.io_formats import quotient_spec_from_json, set_from_json
 
 
 @pytest.fixture
@@ -347,6 +349,58 @@ def test_dehn_check_ratio_must_be_positive(runner, ratio):
     res = run(runner, "dehn", "--word", "a1 a2", "--check-ratio", ratio)
     assert res.exit_code == 2
     assert "satisfies" not in res.output
+
+
+def test_dehn_huge_position_bound(runner, tmp_path):
+    """A digit-encoded set certified to 10**8 positions decides a word in
+    no time: no power of ten is raised to the bound."""
+    path = tmp_path / "godel.json"
+    path.write_text(json.dumps({"kind": "godel", "S": [0, 2],
+                                "position_bound": 10 ** 8}))
+    res = run(runner, "dehn", "--set", str(path), "--word", "a1 a2",
+              "--check-ratio", "6")
+    assert res.exit_code == 1
+    assert "is_identity: False" in res.output
+
+
+@pytest.mark.parametrize("data, name", [
+    ({"modulus": 2.9, "residues": [0]}, "modulus"),
+    ({"modulus": True, "residues": [0]}, "modulus"),
+    ({"modulus": "2", "residues": [0]}, "modulus"),
+    ({"modulus": 2, "residues": [0.5]}, "residues"),
+    ({"modulus": 2, "residues": [False]}, "residues"),
+    ({"kind": "godel", "S": [0, 2.0]}, "S"),
+    ({"kind": "godel", "S": ["0"]}, "S"),
+    ({"kind": "godel", "S": [0], "position_bound": 6.5}, "position_bound"),
+    ({"kind": "godel", "S": [0], "position_bound": True}, "position_bound"),
+])
+def test_set_files_take_json_integers_only(runner, tmp_path, data, name):
+    """A bool, float or string where a set file needs an integer is an
+    input error naming the field, not a truncated value."""
+    with pytest.raises(InputError, match=f"^{name} must be an integer"):
+        set_from_json(data)
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(data))
+    res = run(runner, "dehn", "--set", str(path), "--word", "a1 a2")
+    assert res.exit_code == 2
+    assert f"error: {name} must be an integer" in res.output
+
+
+@pytest.mark.parametrize("factors, value, name", [
+    ([2.5], [1], "factors"), ([True], [1], "factors"), (["2"], [1], "factors"),
+    ([2], [1.0], "theta"), ([2], [True], "theta"), ([2], ["1"], "theta"),
+])
+def test_quotient_files_take_json_integers_only(runner, tmp_path, factors,
+                                                value, name):
+    spec = {"target": {"kind": "abelian", "factors": factors},
+            "theta": {"w,x": value, "x,y": [0], "y,z": [0], "z,w": [0]}}
+    with pytest.raises(InputError, match=f"^{name} must be an integer"):
+        quotient_spec_from_json(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = run(runner, "verify-quotient", "--quotient", str(path))
+    assert res.exit_code == 2
+    assert f"error: {name} must be an integer" in res.output
 
 
 def test_dehn_parse_error(runner):

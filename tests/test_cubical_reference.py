@@ -37,7 +37,8 @@ from gbbkit.quotients import hw_product_quotient, stabilizer_image
 from gbbkit.simplicial import octahedralize
 
 from test_cli import count_calls
-from test_link_certificate import CUBES, FIXTURES, cycle_cocycle_quotient
+from test_link_certificate import (CUBES, FIXTURES, cycle_cocycle_quotient,
+                                   incidence)
 
 # --- the object-keyed oracles ---------------------------------------------------
 
@@ -485,12 +486,13 @@ def incidence_views(Y):
     """Y's incidence position lists keyed by cells, as the reference keeps
     them: the edges rising from and arriving at each vertex, and the
     squares at each edge."""
+    ups, downs, squares_at = incidence(Y)
     return ({Y.vertices[v]: [Y.edges[p] for p in ps]
-             for v, ps in enumerate(Y._ups)},
+             for v, ps in enumerate(ups)},
             {Y.vertices[v]: [Y.edges[p] for p in ps]
-             for v, ps in enumerate(Y._downs)},
+             for v, ps in enumerate(downs)},
             {e: [Y.squares[s >> 2] for s in at]
-             for e, at in zip(Y.edges, Y._squares_at)})
+             for e, at in zip(Y.edges, squares_at)})
 
 
 def assert_same(Y, R, name, all_links):
@@ -542,13 +544,15 @@ def test_cells_planes_reports_cylinders_and_links_match(family):
 
 
 def test_transport_tables_are_multiples_of_rho_1():
-    """The builder reads rho_j = j rho_1 and its image P_j off rho_1; on
-    every quotient of both families they equal what stabilizer_image
-    gives at each height, in walk order."""
+    """The builder reads rho_j and its image P_j from the quotient, which
+    reads them off rho_1 as rho_j = j rho_1; on every quotient of both
+    families, at every height and so at every residue modulo the period,
+    they equal what stabilizer_image gives, in walk order."""
     for name, pres, q, N in SMALL + LARGE:
         Y = build_quotient(pres, q, N, validate_links=False)
         for j in range(N):
-            assert (Y.rho[j], Y.P[j]) == q.rho(j), (name, j)
+            assert (Y.rho[j], Y.P[j]) == stabilizer_image(q, j), (name, j)
+            assert Y.rho[j] is q.rho(j)[0], (name, j)
 
 
 @pytest.mark.parametrize("k, p, product, N", [(5, 3, True, 3),
@@ -584,6 +588,9 @@ def test_one_cube_job_computes_each_fact_once(monkeypatch, k, p, product, N):
                       "stabilizer_image": 0}
     assert len(planes) and len(built) == len(set(built)) < len(calls)
     assert not hasattr(cubical, "_difference")
+    # incidence lists are no part of the complex
+    assert not any(hasattr(Y, name)
+                   for name in ("_ups", "_downs", "_squares_at"))
     for simplex in simplices:
         assert len({id(c.stabilizer) for c in cyls
                     if c.label == simplex}) == 1, simplex

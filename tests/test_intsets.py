@@ -1,5 +1,7 @@
 """Integer-set layer: periodic sets, digit-encoded sets, approximations."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +109,63 @@ def test_godel_window_error():
         10 ** 4 in g  # noqa: B015 -- membership query raises
     with pytest.raises(WindowError):
         g.members_below(10 ** 5)
+
+
+def powers_contains(g, m):
+    """The replaced membership test, which raised the window error against
+    10 ** position_bound."""
+    if m >= 0 and m >= 10 ** g.position_bound:
+        return ("window", len(str(m)))
+    return m in g
+
+
+def powers_members_below(g, bound):
+    """The replaced members_below, which compared 10 ** position_bound and
+    each 10 ** p with the bound."""
+    if bound > 10 ** g.position_bound:
+        return ("window", len(str(bound - 1)))
+    usable = [p for p in g.digit_positions if 10 ** p < bound]
+    return sorted({sum(10 ** p for p in combo)
+                   for size in range(len(usable) + 1)
+                   for combo in itertools.combinations(usable, size)
+                   if sum(10 ** p for p in combo) < bound})
+
+
+def outcome(query, *args):
+    try:
+        return query(*args)
+    except WindowError as err:
+        return ("window", err.required)
+
+
+def test_godel_digit_counts_match_the_powers_of_ten():
+    """Membership and members_below count digits instead of raising 10 to
+    the position bound: m = 0, a bound of 0 and the edges 10**b - 1 and
+    10**b of the window keep their answers and window errors."""
+    for b in range(6):
+        for positions in (frozenset(), frozenset(range(0, b, 2)),
+                          frozenset(range(b))):
+            g = GodelSet(positions, b)
+            # around each power of ten and each repunit 11...1
+            near = {x + d for k in range(b + 3)
+                    for x in (10 ** k, (10 ** k - 1) // 9)
+                    for d in (-2, -1, 0, 1)}
+            for m in sorted(near | {-1, 0}):
+                assert outcome(g.__contains__, m) == powers_contains(g, m), (
+                    positions, b, m)
+                assert outcome(g.members_below, m) == powers_members_below(
+                    g, m), (positions, b, m)
+    empty = GodelSet(frozenset(), 0)
+    assert 0 in empty and empty.members_below(1) == [0]
+    assert outcome(empty.__contains__, 1) == ("window", 1)
+
+
+def test_godel_membership_with_a_huge_position_bound():
+    """A position bound of 10**8 costs nothing: no power of ten is raised
+    to it."""
+    g = GodelSet(frozenset({0, 2}), 10 ** 8)
+    assert 101 in g and 11 not in g and 10 ** 50 not in g
+    assert g.members_below(10 ** 6) == [0, 1, 100, 101]
 
 
 def test_godel_position_validation():

@@ -31,15 +31,33 @@ from gbbkit.simplicial import octahedralize
 # --- the per-vertex VF2 oracle ----------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def incidence(Y):
+    """The incidence position lists of every cell of Y, derived from the
+    ends of its edges and the sides of its squares, once per complex: the
+    edges rising from and arriving at each vertex, and 4 s + k for each
+    square s at an edge as its side k."""
+    ups, downs = [[] for _ in Y.vertices], [[] for _ in Y.vertices]
+    for p, (b, t) in enumerate(zip(Y._bottom, Y._top)):
+        ups[b].append(p)
+        downs[t].append(p)
+    squares_at = [[] for _ in Y.edges]
+    for s, sides in enumerate(Y._sides):
+        for k, p in enumerate(sides):
+            squares_at[p].append(4 * s + k)
+    return ups, downs, squares_at
+
+
 def oracle_link_graph(Y, v):
     g = nx.Graph()
     x = Y.vertex_position(v)
-    ups = [Y.edges[p] for p in Y._ups[x]]
-    downs = [Y.edges[p] for p in Y._downs[x]]
+    ups_at, downs_at, squares_at = incidence(Y)
+    ups = [Y.edges[p] for p in ups_at[x]]
+    downs = [Y.edges[p] for p in downs_at[x]]
     g.add_nodes_from((e, "up") for e in ups)
     g.add_nodes_from((e, "down") for e in downs)
     for e in (*ups, *downs):
-        for s in Y._squares_at[Y.position(e)]:
+        for s in squares_at[Y.position(e)]:
             sq = Y.squares[s >> 2]
             for corner, end1, end2 in (
                 (Y.bottom(sq.e1), (sq.e1, "up"), (sq.e2, "up")),

@@ -684,6 +684,67 @@ def test_orders_of_rho_1_give_the_per_residue_verdicts():
     assert sum(not tf for (tf, _), _ in rows) == 14
 
 
+def scan_kernel_torsion_free(quotient):
+    """The replaced abelian torsion check: the orders of rho_1's values,
+    tried at each residue outside S of one period, from a list of them."""
+    pres = quotient.presentation
+    walk = pres.cover.walk
+    outside = [j for j in range(quotient.period) if j not in pres.S]
+    orders = [v.order() for v in quotient.rho(1)[0].values()][1:]
+    distinct = set(orders)
+    for j in outside:
+        if any(j % o == 0 for o in distinct):
+            i = next(i for i, o in enumerate(orders) if j % o == 0)
+            return False, (j, walk[i + 1])
+    return True, None
+
+
+def test_least_multiples_of_the_orders_give_the_scan_verdicts():
+    """Every theta into Z/2, Z/4, Z/2 x Z/2 and Z/6 on the square, with S
+    = 2Z, 3Z and {0, 1} mod 3: wherever the exact check passes, the least
+    multiples of rho_1's orders outside S give the scan's verdict and
+    witness."""
+    tried = passed = torsion = 0
+    for S in (PeriodicSet.multiples(2), PeriodicSet.multiples(3),
+              PeriodicSet(3, frozenset({0, 1}))):
+        pres = square_presentation(S)
+        for factors in ((2,), (4,), (2, 2), (6,)):
+            target = AbelianGroup(factors)
+            for theta in every_theta(pres, target):
+                tried += 1
+                try:
+                    q = verify_abelian_exact(pres, target, theta)
+                except QuotientError:
+                    continue
+                passed += 1
+                verdict = kernel_torsion_free(q)
+                assert verdict == scan_kernel_torsion_free(q), (S, theta)
+                torsion += not verdict[0]
+    assert tried == 3 * (16 + 256 + 256 + 1296)
+    assert 0 < torsion < passed < tried
+
+
+def test_torsion_check_tests_membership_per_order_not_per_residue(
+        monkeypatch):
+    """A quotient onto Z/2 x Z/P of the square, P = 100003, has period 2P.
+    Its torsion check tests membership in S (modulus m = 2) at most m
+    times per distinct order of rho_1's values; the scan tested every
+    residue of the period."""
+    from test_cli import count_calls
+
+    P = 100003
+    target = AbelianGroup((2, P))
+    values = {SQUARE_EDGES["a"]: (1, 1), SQUARE_EDGES["b"]: (0, P - 1),
+              SQUARE_EDGES["c"]: (0, 0), SQUARE_EDGES["d"]: (0, 0)}
+    q = verify_abelian_exact(square_presentation(), target,
+                             {e: target.element(c) for e, c in values.items()})
+    assert q.period == 2 * P
+    orders = {v.order() for v in q.rho(1)[0].values()} - {1}
+    counts = count_calls(monkeypatch, [(PeriodicSet, "__contains__")])
+    assert kernel_torsion_free(q) == (True, None)
+    assert 0 < counts["__contains__"] <= 2 * len(orders)
+
+
 @pytest.mark.parametrize("p", [5, 101])
 def test_abelian_torsion_check_takes_one_stabilizer_image(monkeypatch, p):
     """The torsion check of the 4-cycle cocycle with deck Z/p reads rho_1
