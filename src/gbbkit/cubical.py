@@ -189,6 +189,11 @@ def _classes(parent, positions):
     return classes
 
 
+# the most edges a complex may have: the group layer's bound on every
+# enumeration (cayley_walk, _TABLE_BOUND)
+_EDGE_BOUND = 10 ** 6
+
+
 class QuotientCubeComplex:
     def __init__(self, pres, quotient, N):
         self.presentation = pres
@@ -219,6 +224,11 @@ class QuotientCubeComplex:
         cover = pres.cover
         L = pres.L
         factors = self.Q.factors
+        size = N * len(L.vertices) * self.Q.order
+        if size > _EDGE_BOUND:
+            raise CubicalError(
+                f"wrap N={N} over |Q|={self.Q.order} needs {size} edges, "
+                f"more than the builder's bound of {_EDGE_BOUND}")
 
         # the index of Q and of the base vertices
         elements = self._elements = list(self.Q.elements())
@@ -460,16 +470,36 @@ def _link_tag(Y, j):
     return "quotient-of-S(M)"
 
 
-def _link_mismatch(Y, v, link, tag):
+def _link_model(Y, j):
+    """(P, slot, near): the doubled derived graph of height j, which reads
+    the height only through rho_j and P_j.  P is P_j sorted, slot the
+    place of an offset in P, and near[u nP + x] holds each u' nP + x' with
+    x' = x + rho_j(eta(u, u')), rho_j(eta(a, b)) read once per directed
+    base edge."""
+    P = sorted(Y.P[j].elements, key=lambda x: x.coords)
+    slot = {x.coords: i for i, x in enumerate(P)}
+    rho, index, nP = Y.rho[j], Y._label_index, len(P)
+    near = [set() for _ in range(len(index) * nP)]
+    for (a, b), g in Y.presentation.cover.eta.items():
+        ua, ub, d = index[a], index[b], rho[g].coords
+        for x, q in enumerate(P):
+            y = slot.get(tuple((c + e) % f for c, e, f in
+                               zip(q.coords, d, Y.Q.factors)))
+            if y is not None:
+                near[ua * nP + x].add(ub * nP + y)
+    return P, slot, near
+
+
+def _link_mismatch(Y, v, link, tag, model=None):
     """None when the link at the vertex at position v is the doubled
     derived graph the module docstring describes, through the map it
     predicts; otherwise the reason, naming the link end or link edge that
-    does not match."""
+    does not match.  ``model`` is the height's _link_model, built here
+    when not given."""
     labels = Y.presentation.L.vertices
     nQ, nV, factors = len(Y._elements), len(labels), Y.Q.factors
     j, r = Y.vertices[v]
-    P = sorted(Y.P[j].elements, key=lambda x: x.coords)
-    slot = {x.coords: i for i, x in enumerate(P)}
+    P, slot, near = model or _link_model(Y, j)
     nP, trivial = len(P), tag == "S(L)"
 
     def image(i):
@@ -507,17 +537,6 @@ def _link_mismatch(Y, v, link, tag):
                       key=repr)
         return f"no link end maps to the vertex {missing} of {tag}"
 
-    # rho_j(eta(a, b)) read once per directed base edge: near[u nP + x]
-    # holds each u' nP + x' with x' = x + rho_j(eta(u, u'))
-    rho, index = Y.rho[j], Y._label_index
-    near = [set() for _ in range(nV * nP)]
-    for (a, b), g in Y.presentation.cover.eta.items():
-        ua, ub, d = index[a], index[b], rho[g].coords
-        for x, q in enumerate(P):
-            y = slot.get(tuple((c + e) % f
-                               for c, e, f in zip(q.coords, d, factors)))
-            if y is not None:
-                near[ua * nP + x].add(ub * nP + y)
     hits = 0
     for a, ends in link.items():
         expected = near[id_of[a] >> 1]
@@ -563,11 +582,17 @@ def vertex_link(Y, v):
 def _validate_all_links(Y):
     """Certify the link at the first vertex of each height against the
     doubled complex its tag names.  Translation by Q, asserted during
-    construction, carries it to the other vertices of that height."""
+    construction, carries it to the other vertices of that height.  The
+    heights that share the objects rho_j and P_j share their model, built
+    afresh on each call."""
+    models = {}
     for j in range(Y.N):
         v = Y._height_start[j]
         tag = _link_tag(Y, j)
-        reason = _link_mismatch(Y, v, _link(Y, v), tag)
+        key = id(Y.rho[j]), id(Y.P[j])
+        if key not in models:
+            models[key] = _link_model(Y, j)
+        reason = _link_mismatch(Y, v, _link(Y, v), tag, models[key])
         if reason is not None:
             raise InternalError(
                 f"link at {Y.vertices[v]} is not {_MODELS[tag]}: {reason}")

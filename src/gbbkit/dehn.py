@@ -185,10 +185,11 @@ def small_cancellation_check(pres, m, exponent_window):
 # Every relator or inverse relator is a cyclic word of l constant-letter
 # blocks of equal length n: ascending generators with letter sign +/-
 # (the relators R_n and R_-n) or descending with sign -/+ (their
-# inverses).  On the run-length encoding of a word, a match against a
+# inverses).  The reducer keeps the word only as its run-length encoding,
+# and a step reads its relator rotation as runs too.  A match against a
 # rotation is a partial block (the last min(c, n) letters of a run), a
 # chain of runs of exactly n letters with stepping generators, and a final
-# partial block.
+# partial block; the step splices in the inverse of the rest as runs.
 #
 # One family per run.  A more-than-half match covers t > l*n/2 letters,
 # at most 2n of them in its two partial blocks, so for l >= 4 it needs a
@@ -246,8 +247,8 @@ def _runs(word):
     return letters, counts
 
 
-def _letters(letters, counts):
-    return tuple(chain.from_iterable(map(repeat, letters, counts)))
+def _letters(runs):
+    return tuple(chain.from_iterable(repeat(x, c) for x, c in runs))
 
 
 def _match_length(letters, counts, p, l, n, s, step):
@@ -277,11 +278,8 @@ def _run_key(letters, counts, p, l, excluded):
     if (x > 0) != (y > 0):
         return _NO_MATCH
     gap = (abs(y) - abs(x)) % l
-    if gap == 1:
-        step = 1
-    elif gap == l - 1:
-        step = -1
-    else:
+    step = 1 if gap == 1 else -1 if gap == l - 1 else 0
+    if not step:
         return _NO_MATCH
     s = 1 if x > 0 else -1
     family = _FAMILIES.index((s, step))
@@ -311,11 +309,8 @@ def _initial_keys(letters, counts, l):
         if (x > 0) != (y > 0):
             continue
         gap = (abs(y) - abs(x)) % l
-        if gap == 1:
-            step = 1
-        elif gap == l - 1:
-            step = -1
-        else:
+        step = 1 if gap == 1 else -1 if gap == l - 1 else 0
+        if not step:
             continue
         link[q] = step
         n = counts[q]
@@ -345,37 +340,41 @@ def _heap(keys, labels):
     return heap
 
 
-def _family_rotation(l, n, s, step, c0, g):
+def _family_rotation(l, n, s, step, c0, g, t):
     """The rotation of the family relator beginning with c0 letters of
-    generator g (then n of each following generator, closing the cycle)."""
-    rot = [s * g] * c0
-    cur = g
-    for _ in range(l - 1):
-        cur = (cur - 1 + step) % l + 1
-        rot.extend([s * cur] * n)
-    rot.extend([s * g] * (n - c0))
-    return tuple(rot)
+    generator g (then n of each following generator, closing the cycle),
+    split after its first t letters: the runs [(letter, count), ...] of
+    those t letters, and the runs of the inverse of the rest."""
+    head, rest = [], []
+    for k in range(l + 1):
+        x = s * ((g - 1 + k * step) % l + 1)
+        c = c0 if k == 0 else n - c0 if k == l else n
+        taken = min(c, t)
+        t -= taken
+        if taken:
+            head.append((x, taken))
+        if c > taken:
+            rest.append((-x, c - taken))
+    return head, rest[::-1]
 
 
-def _splice(letters, counts, p, c0, rot, t):
+def _splice(letters, counts, p, c0, t, head, inserted):
     """Replace the t letters that start c0 letters before the end of run p,
-    which must spell rot[:t], by the inverse of rot[t:]; then freely reduce
-    and merge at the seams.  Old runs lo..hi-1 become new runs
-    lo..lo+size-1; returns (lo, hi, size)."""
-    matched = [letters[p]] * c0
-    q = p
-    while len(matched) < t and q + 1 < len(letters):
-        q += 1
-        k = min(counts[q], t - len(matched))     # taken from run q
-        matched += [letters[q]] * k
-    if tuple(matched) != rot[:t]:
+    which must spell the runs ``head``, by the runs ``inserted``; then
+    freely reduce and merge at the seams.  Old runs lo..hi-1 become new
+    runs lo..lo+size-1; returns (lo, hi, size)."""
+    # the match reads the last c0 letters of run p, all of the runs
+    # between, and the first k letters of run q
+    q, k = p + len(head) - 1, head[-1][1]
+    if q >= len(letters) or counts[q] < k or head != [
+            (letters[p], c0), *zip(letters[p + 1:q], counts[p + 1:q]),
+            (letters[q], k)]:
         i = sum(counts[:p]) + counts[p] - c0
         raise InternalError(
             f"Dehn splice at letter {i} of length {t} does not match the "
             f"relator rotation it replaces")
-    pieces = [(letters[p], counts[p] - c0)]
-    pieces += zip(*_runs(invert_word(rot[t:])))
-    pieces.append((letters[q], counts[q] - k))
+    pieces = [(letters[p], counts[p] - c0), *inserted,
+              (letters[q], counts[q] - k)]
     lo, hi = p, q + 1
     seg = []
 
@@ -419,16 +418,18 @@ def dehn_reduce(pres, word, trace=None):
     Length is strictly decreasing, so this terminates.  Only exponents
     of more-than-half matches are looked up in T; each one satisfies
     l*|n|/2 < |w|, which bounds the window where T-membership must be
-    decidable.  ``trace``, when given, receives (word, i, t) per step:
-    the word before the step and its replaced letters [i, i + t)."""
+    decidable.  ``trace``, when given, receives (i, t, inserted) per step:
+    the step replaces letters [i, i + t) of the current word by the letter
+    tuple ``inserted``, before free reduction.  The words are not kept; a
+    reader replays them from the freely reduced input word w by
+    ``w = free_reduce(w[:i] + inserted + w[i + t:])``."""
     letters_in = word.letters if isinstance(word, Word) else tuple(word)
     l = pres.l
     for x in letters_in:
         if not 0 < abs(x) <= l:
             raise DehnError(
                 f"letter {x} is not a generator a1..a{l} or an inverse")
-    current = free_reduce(letters_in)   # kept up to date only for trace
-    letters, counts = _runs(current)
+    letters, counts = _runs(free_reduce(letters_in))
     excluded = set()            # exponents found not to be in T
     members = set()             # exponents found to be in T
     if l > 3:
@@ -455,20 +456,17 @@ def dehn_reduce(pres, word, trace=None):
                     heappush(heap, key + (label,))
                 continue
             members.add(exponent)
-        c0 = min(counts[p], n)
-        rot = _family_rotation(l, n, s, step, c0, abs(letters[p]))
-        if 2 * t <= len(rot):
+        if 2 * t <= l * n:
             raise InternalError(
                 f"Dehn step of {t} letters does not shorten a relator of "
-                f"length {len(rot)}")
-        i = sum(counts[:p]) + counts[p] - c0 if trace is not None else None
-        lo, hi, size = _splice(letters, counts, p, c0, rot, t)
+                f"length {l * n}")
+        c0 = min(counts[p], n)
+        head, inserted = _family_rotation(l, n, s, step, c0,
+                                          abs(letters[p]), t)
         if trace is not None:
-            trace.append((current, i, t))
-            # the runs before lo and from lo + size on are unchanged
-            new = _letters(letters[lo:lo + size], counts[lo:lo + size])
-            tail = len(current) - sum(counts[lo + size:])
-            current = current[:sum(counts[:lo])] + new + current[tail:]
+            trace.append((sum(counts[:p]) + counts[p] - c0, t,
+                          _letters(inserted)))
+        lo, hi, size = _splice(letters, counts, p, c0, t, head, inserted)
         # new runs get labels spread between their neighbours' labels
         left = labels[lo - 1] if lo else 0
         right = labels[hi] if hi < len(labels) else \
@@ -486,7 +484,7 @@ def dehn_reduce(pres, word, trace=None):
             # no room between the neighbours: relabel every run
             labels = _labels(len(keys))
             heap = _heap(keys, labels)
-    return Word(_letters(letters, counts))
+    return Word(_letters(zip(letters, counts)))
 
 
 def is_identity(pres, word):

@@ -193,9 +193,10 @@ def count_calls(monkeypatch, targets):
     (["check-special", "--fixture", "s9-index16", "--wrap", "8"],
      {"hyperplanes": 1}),
     # each height's link is certified once, by build_quotient, and its
-    # tag is read off the height
+    # tag is read off the height; the heights of one residue of the
+    # period (2) share the objects rho_j and P_j, so their model
     (["build-complex", "--fixture", "s9-index16", "--wrap", "8"],
-     {"vertex_link": 0, "_link_mismatch": 8}),
+     {"vertex_link": 0, "_link_mismatch": 8, "_link_model": 2}),
     # rho_1 alone for an abelian quotient, shared by the relator check,
     # the torsion check and every complex of the wrap tower and the
     # confirm path, which read rho_j = j rho_1 off it
@@ -212,6 +213,7 @@ def test_each_fact_is_computed_once(runner, monkeypatch, args, want):
         (cubical.QuotientCubeComplex, "__init__"),
         (cubical, "specialness"), (cubical, "hyperplanes"),
         (cubical, "vertex_link"), (cubical, "_link_mismatch"),
+        (cubical, "_link_model"),
         (quotients, "stabilizer_image")])
     res = run(runner, *args)
     assert res.exit_code in (0, 1), res.output
@@ -418,7 +420,7 @@ def test_dehn_generator_beyond_l(runner):
 def test_dehn_splice_mismatch_exit_3(runner, monkeypatch):
     real = dehn._family_rotation
     monkeypatch.setattr(dehn, "_family_rotation",
-                        lambda *args: tuple(reversed(real(*args))))
+                        lambda *args: [runs[::-1] for runs in real(*args)])
     word = " ".join(f"a{i} a{i}" for i in range(1, 14))
     res = run(runner, "dehn", "--word", word)
     assert res.exit_code == 3
@@ -483,6 +485,33 @@ def test_zero_wrap_is_rejected(runner):
         res = run(runner, verb, "--bits", "1000", "--wrap", "0")
         assert res.exit_code == 2, verb
         assert "wrap N=0 must be a positive multiple" in res.output, verb
+
+
+def test_complexes_past_a_million_edges_are_refused(runner, tmp_path,
+                                                    monkeypatch):
+    """Onto Z/2 x Z/P, P = 10^9 + 7, the quotient's period is 2P, so the
+    default wrap asks for 2P * 4 * 2P edges: both verbs refuse it before
+    listing Q.  A complex of exactly the bound's size is still built."""
+    P = 10 ** 9 + 7
+    spec = {"target": {"kind": "abelian", "factors": [2, P]},
+            "theta": {"w,x": [1, 1], "x,y": [0, P - 1], "y,z": [0, 0],
+                      "z,w": [0, 0]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for verb in ("check-special", "build-complex"):
+        res = run(runner, verb, "--quotient", str(path))
+        assert res.exit_code == 2, verb
+        assert (f"wrap N={2 * P} over |Q|={2 * P} needs {16 * P * P} edges, "
+                f"more than the builder's bound of 1000000") in res.output
+    edges = envelope(run(runner, "build-complex", "--bits", "1000",
+                         "--json"))["verdicts"]["edges"]
+    monkeypatch.setattr(cubical, "_EDGE_BOUND", edges)
+    assert run(runner, "build-complex", "--bits", "1000").exit_code == 0
+    monkeypatch.setattr(cubical, "_EDGE_BOUND", edges - 1)
+    for verb in ("check-special", "build-complex"):
+        res = run(runner, verb, "--bits", "1000")
+        assert res.exit_code == 2, verb
+        assert f"needs {edges} edges" in res.output, verb
 
 
 def test_internal_key_error_exits_3(runner, monkeypatch):

@@ -728,6 +728,20 @@ def test_certificate_messages_match(description, tamper):
     assert damaged
 
 
+def test_damage_to_a_shared_P_j_is_named_at_its_own_height():
+    """Heights j and j + period share the objects rho_j and P_j, and with
+    them one model of the derived graph; a P_j replaced at the later
+    height is a new object, checked against a model of its own."""
+    q = cycle_cocycle_quotient(4, 3, 0, 1)
+    Y = build_quotient(q.presentation, q, 2 * q.period)
+    j = Y.N - 1
+    assert Y.P[j] is Y.P[j - q.period] and Y.P[j].order == 3
+    P = Y.P[j].elements
+    with_P(Y, j, P - {max(P, key=lambda x: x.coords)})
+    assert re.match(rf"link at \({j}, .*\) is not the doubled .*: "
+                    rf"{WITNESS['drop vertex']}", new_message(Y))
+
+
 def test_derived_graph_check_matches_the_two_model_certificate():
     """At every height the two-model certificate checks, on every member of
     FIXTURES (the 15 bit patterns at N and 2N among them), the derived-graph

@@ -17,6 +17,17 @@ def conjugate(word, by):
     return by + word + invert_word(by)
 
 
+def replay(word, trace):
+    """The words before each step that ``trace`` records while ``word`` is
+    reduced, and the word after the last step."""
+    w = free_reduce(word)
+    words = []
+    for i, t, inserted in trace:
+        words.append(w)
+        w = free_reduce(w[:i] + inserted + w[i + t:])
+    return words, w
+
+
 # --- words -------------------------------------------------------------------
 
 
@@ -132,9 +143,11 @@ def test_random_relator_products_reduce_to_identity():
 def test_reduction_trace_shrinks():
     pres = dehn_presentation_periodic(l=13)
     trace = []
-    out = dehn_reduce(pres, pres.relator(2) + pres.relator(4), trace=trace)
+    word = pres.relator(2) + pres.relator(4)
+    out = dehn_reduce(pres, word, trace=trace)
     assert len(out) == 0
-    lengths = [len(w) for w, _, _ in trace]
+    words, last = replay(word, trace)
+    lengths = [len(w) for w in words + [last]]
     assert lengths == sorted(lengths, reverse=True)
 
 
@@ -181,8 +194,8 @@ def test_splice_mismatch_raises_internal_error(monkeypatch):
     real = dehn._family_rotation
 
     def wrong_rotation(*args):
-        rot = real(*args)
-        return (-rot[0],) + rot[1:]
+        head, inserted = real(*args)
+        return [(-head[0][0], head[0][1])] + head[1:], inserted
 
     monkeypatch.setattr(dehn, "_family_rotation", wrong_rotation)
     pres = dehn_presentation_periodic(l=13)
@@ -246,3 +259,37 @@ def test_reduction_work_is_local_to_the_steps(monkeypatch):
     assert len(dehn._runs(free_reduce(word))[0]) > 25000
     assert calls <= steps.steps * (2 * l + 4)
     assert sorted(asked) == sorted(set(asked))
+
+
+def is_rotation(word, of):
+    return len(word) == len(of) and any(
+        word == of[k:] + of[:k] for k in range(len(of)))
+
+
+def test_trace_steps_replay_to_the_reduced_word():
+    # a 35,000-letter word of conjugated 2Z relator rotations, each cut
+    # short by less than a third: each step swaps a more-than-half
+    # subword of a relator rotation for the inverse of the rest, so what
+    # it inserts is shorter than the relator's l*|n| letters, and the
+    # replayed steps end at the result
+    l = 13
+    pres = dehn_presentation_periodic(l=l)
+    rng = random.Random(7)
+    word = ()
+    while len(word) < 35000:
+        rel = pres.relator(rng.choice((-6, -4, -2, 2, 4, 6)))
+        k, cut = rng.randrange(len(rel)), rng.randrange(len(rel) // 3)
+        word += conjugate((rel[k:] + rel[:k])[cut:], linked_pairs(rng, l, 30))
+    trace = []
+    reduced = dehn_reduce(pres, word, trace=trace)
+    words, last = replay(word, trace)
+    assert last == reduced.letters
+    assert len(trace) > 200
+    assert sum(1 for _, _, inserted in trace if inserted) > 150
+    for w, (i, t, inserted) in zip(words, trace):
+        cycle = w[i:i + t] + invert_word(inserted)
+        n = len(cycle) // l
+        assert len(inserted) < l * n and 2 * len(inserted) < len(cycle)
+        assert any(is_rotation(cycle, r)
+                   for m in (n, -n) if m in pres.T
+                   for r in (pres.relator(m), invert_word(pres.relator(m))))

@@ -11,7 +11,8 @@ The reference oracles kept here are the earlier implementations:
   divisor.
 
 The new reducer must pick the same match at every step, so both the
-reduced word and the ``trace`` triples (word, i, t) are compared.  The
+reduced word and the triples (word, i, t) are compared; the new reducer's
+``trace`` records steps (i, t, inserted), and its words are replayed.  The
 pairwise piece scan is quadratic in the number of occurrences K, so the
 suite runs it on the cells of the (l, window, T) grid with K <= 300; the
 sorted-neighbour scan, O(K log K), runs on every cell of a wider grid."""
@@ -29,6 +30,7 @@ from gbbkit.dehn import (CyclicPresentation, SmallCancellationReport, Word,
 from gbbkit.errors import DehnError
 from gbbkit.fixtures import dehn_presentation_godel
 from gbbkit.intsets import GodelSet, PeriodicSet
+from test_dehn import replay
 
 # --- the reducer that rescanned the word on every step -----------------------
 
@@ -273,10 +275,13 @@ def relator_products(rng, pres, count, factors=(1, 5), max_exponent=4):
 
 
 def assert_same_reduction(pres, word):
-    expected_trace, got_trace = [], []
+    expected_trace, steps = [], []
     expected = reference_dehn_reduce(pres, word, expected_trace)
-    got = dehn_reduce(pres, word, got_trace)
+    got = dehn_reduce(pres, word, steps)
     assert got == expected, word
+    words, last = replay(word, steps)
+    assert last == got.letters, word
+    got_trace = [(w, i, t) for w, (i, t, _) in zip(words, steps)]
     assert got_trace == expected_trace, word
 
 
