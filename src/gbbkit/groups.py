@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 
 from .errors import GroupError
@@ -225,30 +225,51 @@ class AbelianGroup:
         return lcm(1, *self.factors)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class WreathElement:
-    """Element x * rho^rotor of the wreath product S_N wr C_n: ``base`` is
-    the n-tuple over S_N and ``rotor`` the cyclic part.  Conjugation by the
+    """Element x * rho^rotor of the wreath product S_N wr C_n, with ``base``
+    the n-tuple x over S_N and ``rotor`` the cyclic part, stored as its
+    permutation of the n*N points (i, x), point (i, x) at index i*N + x:
+    it sends (i, x) to (i + r, b[i + r](x)), positions mod n, for base b
+    and rotor r (Dixon and Mortimer, Permutation Groups, 1996, 2.6).
+    Composition follows Permutation, (w1 w2)(p) = w1(w2(p)), and both
+    sides send (i, x) to (i + r1 + r2, b1[i + r1 + r2](b2[i + r2](x))),
+    so a product is one composition of image tuples.  The action is
+    faithful: block 0 goes to block r, which determines r, and block j - r
+    goes to block j through b[j], which determines b.  So the order of an element is
+    the lcm of the cycle lengths of its permutation.  Conjugation by the
     rotor generator shifts base positions upward:
     rho * (x at position i) * rho^-1 = (x at position i+1 mod n).
     """
 
-    base: tuple  # n-tuple of Permutation
-    rotor: int
+    n: int
+    images: tuple  # the image of point i*N + x
 
-    def __post_init__(self):
-        n = len(self.base)
+    def __init__(self, base, rotor):
+        n = len(base)
         if n == 0:
             raise GroupError("empty wreath base")
-        object.__setattr__(self, "rotor", self.rotor % n)
+        degree = base[0].size
+        if any(p.size != degree for p in base):
+            raise GroupError(
+                f"wreath base of mixed degrees: {[p.size for p in base]}")
+        if degree == 0:
+            raise GroupError("wreath base of degree 0")
+        images = []
+        for i in range(n):
+            j = (i + rotor) % n
+            offset = j * degree
+            images.extend(offset + y for y in base[j].images)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "images", tuple(images))
 
     @classmethod
-    def _unchecked(cls, base, rotor):
-        """An element from a nonempty base and a rotor already reduced
-        modulo its length: products skip the constructor."""
+    def _unchecked(cls, n, images):
+        """An element from the image tuple of a product, inverse or power
+        of elements of one parent: it skips the constructor."""
         w = object.__new__(cls)
-        object.__setattr__(w, "base", base)
-        object.__setattr__(w, "rotor", rotor)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "images", images)
         return w
 
     @classmethod
@@ -262,28 +283,39 @@ class WreathElement:
         return cls(tuple(perm if j == i % n else ident for j in range(n)), 0)
 
     @property
-    def n(self):
-        return len(self.base)
+    def degree(self):
+        return len(self.images) // self.n
 
     @property
-    def degree(self):
-        return self.base[0].size
+    def rotor(self):
+        return self.images[0] // self.degree
+
+    @property
+    def base(self):
+        """base[j] is the block of position j - rotor, less j*N."""
+        n, N, r, images = self.n, self.degree, self.rotor, self.images
+        out = []
+        for j in range(n):
+            start, offset = (j - r) % n * N, j * N
+            out.append(Permutation._unchecked(
+                tuple(y - offset for y in images[start:start + N])))
+        return tuple(out)
 
     def __mul__(self, other):
-        base, others = self.base, other.base
-        n, r = len(base), self.rotor
-        if n != len(others) or base[0].size != others[0].size:
+        images, others = self.images, other.images
+        if self.n != other.n or len(images) != len(others):
             raise GroupError("mixed wreath parents")
-        # position i of the product is base[i] * other.base[i - r]
-        shifted = others[n - r:] + others[:n - r]
-        return WreathElement._unchecked(
-            tuple(map(Permutation.__mul__, base, shifted)),
-            (r + other.rotor) % n)
+        if len(others) < 2:
+            # S_1 wr C_1: only the identity, and itemgetter returns a
+            # tuple from two keys up
+            return self
+        return WreathElement._unchecked(self.n, itemgetter(*others)(images))
 
     def inverse(self):
-        r = self.rotor
-        inv = tuple(self.base[(i + r) % self.n].inverse() for i in range(self.n))
-        return WreathElement._unchecked(inv, -r % self.n)
+        inv = [0] * len(self.images)
+        for i, v in enumerate(self.images):
+            inv[v] = i
+        return WreathElement._unchecked(self.n, tuple(inv))
 
     def __pow__(self, k):
         if k < 0:
@@ -298,18 +330,16 @@ class WreathElement:
         return out
 
     def is_identity(self):
-        return self.rotor == 0 and all(p.is_identity() for p in self.base)
+        return self.images == tuple(range(len(self.images)))
 
     def identity_like(self):
-        return WreathElement._unchecked(
-            (Permutation.identity(self.degree),) * self.n, 0)
+        return WreathElement._unchecked(self.n, tuple(range(len(self.images))))
 
     def order(self):
-        """k = n / gcd(n, rotor) is the order of the rotor, so w^k lies in
-        the base group and the order of w is k times the lcm of the orders
-        of the entries of w^k."""
-        k = self.n // gcd(self.n, self.rotor)
-        return k * lcm(1, *(p.order() for p in (self ** k).base))
+        """The lcm of the cycle lengths of the permutation of the n*N
+        points; the action is faithful, so this is the order in the
+        wreath product."""
+        return Permutation._unchecked(self.images).order()
 
     def parent_key(self):
         return ("wreath", self.degree, self.n)
@@ -325,16 +355,25 @@ class TupleElement:
 
     parts: tuple
 
+    @classmethod
+    def _unchecked(cls, parts):
+        """An element from the parts of a product, inverse or power:
+        it skips the dataclass constructor."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "parts", parts)
+        return t
+
     def __mul__(self, other):
         if len(self.parts) != len(other.parts):
             raise GroupError("mixed tuple parents")
-        return TupleElement(tuple(a * b for a, b in zip(self.parts, other.parts)))
+        return TupleElement._unchecked(
+            tuple(a * b for a, b in zip(self.parts, other.parts)))
 
     def inverse(self):
-        return TupleElement(tuple(p.inverse() for p in self.parts))
+        return TupleElement._unchecked(tuple(p.inverse() for p in self.parts))
 
     def __pow__(self, k):
-        return TupleElement(tuple(p ** k for p in self.parts))
+        return TupleElement._unchecked(tuple(p ** k for p in self.parts))
 
     def is_identity(self):
         return all(p.is_identity() for p in self.parts)
@@ -556,7 +595,16 @@ def build_pqrs(alpha, beta, k, n):
 
     Each has order n, and a^j b^j c^j d^j equals the commutator
     [alpha, beta] placed in base index k-1 when j = k mod n, and the
-    identity otherwise."""
+    identity otherwise.  Proof: write X_j for rho^j X rho^-j, which is X
+    with its base positions shifted by j.  Then
+
+        a^j b^j c^j d^j = rho^j A rho^-j A^-1 A B rho^j B^-1 A^-1 B rho^-j B^-1
+                        = A_j B (B^-1 A^-1 B)_j B^-1 = A_j B A_j^-1 B^-1,
+
+    as A and B sit in the distinct positions n-1 and k-1 and commute.
+    A_j is alpha in position j-1: when j = k mod n that is B's position
+    and the product is [alpha, beta] there; otherwise A_j and B commute
+    and the product is the identity."""
     if not 1 <= k < n:
         raise GroupError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     if alpha.size != beta.size:

@@ -35,9 +35,10 @@ def test_malformed_images_raise():
 def test_unchecked_results_equal_checked_ones():
     """Products, inverses and powers skip the constructor's check; over
     S_4 each equals the permutation the checked constructor builds from
-    its images.  Wreath products over S_3 wr C_3 and abelian products over
-    Z/4 x Z/6 skip their constructors too, and equal, with equal hashes,
-    what the checked constructors build from their fields."""
+    its images.  Wreath products over S_3 wr C_3, abelian products over
+    Z/4 x Z/6 and products, inverses and powers of tuples of these skip
+    their constructors too, and equal, with equal hashes, what the checked
+    constructors build from their fields."""
     group = list(symmetric_group(4))
     for p in group:
         for q in group:
@@ -82,12 +83,30 @@ def test_unchecked_results_equal_checked_ones():
             assert product.coords == ((a.coords[0] + b.coords[0]) % 4,
                                       (a.coords[1] + b.coords[1]) % 6)
 
-    # mismatched sizes, degrees and factors still raise
+    # tuples of an abelian, a permutation and a wreath part: every pair
+    rng = random.Random(4)
+    tuples = [TupleElement((group[rng.randrange(24)], rand_perm(rng, 3),
+                            rng.choice(wreath))) for _ in range(6)]
+    for t in tuples:
+        results = [t * u for u in tuples] + [t.inverse()]
+        results += [t ** k for k in range(-4, 5)]
+        for got in results:
+            checked = TupleElement(got.parts)
+            assert got == checked and hash(got) == hash(checked)
+        assert t.inverse().parts == tuple(p.inverse() for p in t.parts)
+        assert (t ** 3).parts == tuple(p ** 3 for p in t.parts)
+
+    # mismatched sizes, degrees and factors still raise; S_3 wr C_2 and
+    # S_2 wr C_3 both act on 6 points, and their identities differ
+    six_points = WreathElement.rho(2, 3).identity_like()
+    assert six_points.images == WreathElement.rho(3, 2).identity_like().images
+    assert six_points != WreathElement.rho(3, 2).identity_like()
     mismatched = [
         (Permutation.identity(3), Permutation.identity(4),
          "permutation size mismatch"),
         (wreath[0], WreathElement.rho(2, 3), "mixed wreath parents"),
         (wreath[0], WreathElement.rho(3, 4), "mixed wreath parents"),
+        (six_points, WreathElement.rho(3, 2), "mixed wreath parents"),
         (group[0], AbelianGroup((6, 4)).identity(), "mixed abelian parents"),
         (group[0], AbelianGroup((4,)).identity(), "mixed abelian parents"),
     ]
@@ -186,6 +205,41 @@ def test_rotor_conjugation_shifts_positions():
         assert conj == WreathElement.at_position(x, (i + 1) % n, n)
 
 
+def test_wreath_base_of_mixed_degrees_raises():
+    """A base whose entries differ in degree has no layout on n*N points
+    and is refused where it is built, not at its first product."""
+    with pytest.raises(GroupError, match=r"wreath base of mixed degrees: \[2, 3\]"):
+        WreathElement((Permutation((1, 0)), Permutation((0, 2, 1))), 1)
+    with pytest.raises(GroupError, match="empty wreath base"):
+        WreathElement((), 0)
+    with pytest.raises(GroupError, match="wreath base of degree 0"):
+        WreathElement((Permutation(()),) * 2, 1)
+
+
+@pytest.mark.parametrize("degree, n", [(1, 1), (1, 2), (2, 1)])
+def test_wreath_arithmetic_on_one_or_two_points(degree, n):
+    """S_1 wr C_1 acts on one point and holds only the identity; S_1 wr C_2
+    and S_2 wr C_1 act on two points and hold one element of order 2."""
+    elements = [WreathElement(base, rotor)
+                for base in itertools.product(symmetric_group(degree), repeat=n)
+                for rotor in range(n)]
+    assert len(set(elements)) == len(elements) == (1 if degree * n == 1 else 2)
+    for w in elements:
+        assert type(w.images) is tuple and len(w.images) == degree * n
+        assert (w * w.inverse()).is_identity() and (w.inverse() * w).is_identity()
+        for v in elements:
+            product = w * v
+            assert type(product.images) is tuple
+            assert product == WreathElement(product.base, product.rotor)
+        for k in range(-3, 4):
+            power = w ** k
+            assert type(power.images) is tuple
+            assert power.is_identity() == (k % w.order() == 0)
+        assert w.identity_like().is_identity() and w.identity_like().n == n
+    orders = sorted(w.order() for w in elements)
+    assert orders == ([1] if degree * n == 1 else [1, 2])
+
+
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=5),
        st.integers())
 @settings(max_examples=40)
@@ -278,6 +332,28 @@ def test_detector_identity_seeded_draws():
             if sigma.parity() == 0:
                 break
         detector_check(sigma, k, n)
+
+
+@pytest.mark.parametrize("sigma", [
+    Permutation.from_cycles(3, (0, 1, 2)),
+    Permutation.from_cycles(4, (0, 1), (2, 3)),
+    Permutation.from_cycles(5, (0, 1, 2, 3, 4)),
+], ids=repr)
+def test_detector_lemma(sigma):
+    """For every n <= 12, k < n and j < 2n, a^j b^j c^j d^j is [alpha, beta]
+    at base index k-1 when j = k mod n, and the identity otherwise."""
+    alpha, beta = ore_commutator(sigma)
+    commutator = alpha * beta * alpha.inverse() * beta.inverse()
+    for n in range(2, 13):
+        for k in range(1, n):
+            quad = build_pqrs(alpha, beta, k, n)
+            placed = WreathElement.at_position(commutator, k - 1, n)
+            for j in range(2 * n):
+                product = power_product(quad, j)
+                if j % n == k:
+                    assert product == placed, (n, k, j)
+                else:
+                    assert product.is_identity(), (n, k, j)
 
 
 def test_detector_k_bounds():

@@ -2,16 +2,19 @@
 
 Exponent sets were computed by raising every element of the list to each
 j of one period by square-and-multiply; the library now reads g^j off one
-cyclic power table per distinct element.  The order of a wreath element
-was found by multiplying it by itself until the identity; the library now
-reads it off the rotor and the base of one power.  Exponent sets must be
-equal on detector quadruples, on the theta labels of wreath loops, on
-seeded permutation lists and on abelian and tuple lists, and orders must
+cyclic power table per distinct element.  A wreath element was stored as
+its base and rotor, its product was n permutation products on a rotated
+base and its order was read off the rotor and the base of one power; the
+library now stores its permutation of the n*N points, so that a product
+is one composition of image tuples and the order the lcm of its cycle
+lengths.  Exponent sets must be equal on detector quadruples, on the theta
+labels of wreath loops, on seeded permutation lists and on abelian and
+tuple lists; products, inverses, powers, orders, equality and reprs must
 be equal over whole small wreath products."""
 
 import itertools
 import random
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -25,7 +28,7 @@ from gbbkit.intsets import PeriodicSet
 from gbbkit.presentation import loops_upto
 from gbbkit.quotients import hw_product_quotient
 
-from test_quotient_reference import cycle_cocycle_quotient
+from test_quotient_reference import as_permutation, cycle_cocycle_quotient
 
 # --- the oracles -----------------------------------------------------------------
 
@@ -166,7 +169,94 @@ def test_r_set_takes_no_power_product_and_no_order(monkeypatch):
     assert r_set(quad) == PeriodicSet(5, frozenset({0, 1, 3, 4}))
 
 
-# --- closed-form wreath orders ------------------------------------------------------
+# --- wreath elements against their (base, rotor) arithmetic -----------------------
+
+
+def reference_wreath_mul(u, v):
+    """The replaced product of (base, rotor) pairs: position i of the
+    product is u.base[i] * v.base[i - u.rotor]."""
+    (base, r), (others, s) = u, v
+    n = len(base)
+    shifted = others[n - r:] + others[:n - r]
+    return tuple(map(Permutation.__mul__, base, shifted)), (r + s) % n
+
+
+def reference_wreath_inverse(u):
+    base, r = u
+    n = len(base)
+    return tuple(base[(i + r) % n].inverse() for i in range(n)), -r % n
+
+
+def reference_wreath_pow(u, k):
+    if k < 0:
+        return reference_wreath_pow(reference_wreath_inverse(u), -k)
+    base, _ = u
+    out = (tuple(p.identity_like() for p in base), 0)
+    for _ in range(k):
+        out = reference_wreath_mul(out, u)
+    return out
+
+
+def reference_wreath_order(u):
+    """The replaced closed form: k = n / gcd(n, rotor) is the order of
+    the rotor, so u^k lies in the base group, and the order of u is k
+    times the lcm of the orders of the entries of u^k."""
+    base, r = u
+    k = len(base) // gcd(len(base), r)
+    return k * lcm(1, *(p.order() for p in reference_wreath_pow(u, k)[0]))
+
+
+def reference_wreath_group(degree, n):
+    perms = list(symmetric_group(degree))
+    return [(base, rotor) for base in itertools.product(perms, repeat=n)
+            for rotor in range(n)]
+
+
+def assert_wreath_matches(u, w):
+    """w is the element the pair u names: same fields, repr, hash, and the
+    same block in the permutation test_quotient_reference closes in."""
+    base, rotor = u
+    assert (w.base, w.rotor, w.n, w.degree) == (base, rotor, len(base),
+                                                base[0].size)
+    assert repr(w) == f"Wr(base={list(base)}, rotor={rotor})"
+    checked = WreathElement(w.base, w.rotor)
+    assert checked == w and hash(checked) == hash(w)
+    assert as_permutation(TupleElement((w,))).images == w.images
+
+
+def check_wreath_pairs(group, partners):
+    """Every element of group (as (base, rotor) pairs) against the oracle:
+    its products with each partner, its inverse, its powers -3..6 and its
+    order."""
+    elements = {u: WreathElement(*u) for u in group}
+    assert len(set(elements.values())) == len(elements)
+    for u, w in elements.items():
+        assert_wreath_matches(u, w)
+        for v in partners(u):
+            product = reference_wreath_mul(u, v)
+            assert_wreath_matches(product, w * elements[v])
+            assert (w * elements[v] == w) == (product == u)
+        assert_wreath_matches(reference_wreath_inverse(u), w.inverse())
+        for k in range(-3, 7):
+            assert_wreath_matches(reference_wreath_pow(u, k), w ** k)
+        assert w.order() == reference_wreath_order(u)
+        assert w.is_identity() == (reference_wreath_order(u) == 1)
+
+
+@pytest.mark.parametrize("degree, n", [(3, 2), (2, 3)])
+def test_wreath_arithmetic_matches_reference_exhaustively(degree, n):
+    group = reference_wreath_group(degree, n)
+    check_wreath_pairs(group, lambda u: group)
+
+
+def test_wreath_arithmetic_matches_reference_on_a_sample():
+    """S_3 wr C_3, 648 elements, each against a fixed seeded sample of 30."""
+    group = reference_wreath_group(3, 3)
+    sample = random.Random(9).sample(group, 30)
+    check_wreath_pairs(group, lambda u: sample)
+
+
+# --- wreath orders against iterated products -------------------------------------
 
 
 def wreath_product(degree, n):
