@@ -4,12 +4,13 @@ three quotient recipes (classifying cocycle, wreath labelling, product
 with the abelianized kernel).
 
 A quotient is a map theta on directed edges of the base, compatible with
-edge reversal, that kills every relator.  Verification is exact for every
-finite target, on the fundamental cycles of the cover's spanning tree,
-through the maps rho_j that the cycles' j-voltages induce on the deck
-monodromy: at j = 1 alone for abelian targets, where rho_j = j rho_1
-(verify_abelian_exact), and at every j of one period otherwise
-(verify_bounded).
+edge reversal, that kills every relator.  One check, verify_bounded,
+decides this exactly for every finite target, on the fundamental cycles
+of the cover's spanning tree, through the maps rho_j that the cycles'
+j-voltages induce on the deck monodromy: at j = 1 alone for abelian
+targets, where rho_j = j rho_1, and at every j of one period otherwise,
+the residues swept in order so that each voltage is one product past
+the last.
 """
 
 from __future__ import annotations
@@ -30,24 +31,13 @@ from .simplicial import star_union, subdivide_graph_edges
 
 
 @dataclass
-class AbelianExactCertificate:
-    mode: str
-    basis_loops: list          # cycle-basis loops (directed edge tuples)
-    basis_labels: list         # their deck monodromy elements
-    # empty: rho_1 decides the label kernel without spanning vectors; the
-    # field stays for readers of its length (perfbench's tracer)
-    kernel_generators: list
-    d: int                     # additive generator of the subgroup <S>
-    checks: list = field(default_factory=list)
-    passed: bool = True
-
-
-@dataclass
 class CycleCertificate:
     mode: str
     exponent_window: int       # one period of every power product
     loops_checked: int         # fundamental cycles of the spanning tree
     failures: list = field(default_factory=list)
+    # always empty: read only by perfbench's tracer, which counts its length
+    kernel_generators = ()
 
     @property
     def passed(self):
@@ -81,13 +71,15 @@ class FiniteQuotient:
         this period."""
         return lcm(self.presentation.S.modulus, self.target_exponent())
 
-    def rho(self, j):
+    def rho(self, j, volts=None):
         """(rho_j as a dict in walk order, its image), evaluated once per
         residue r of j modulo the period and shared by every caller, which
         must not change them.  For an abelian target rho_r = r rho_1 is read
         off rho_1's values; rho_1, and every rho_r of another target, is
-        stabilizer_image(self, r).  A rho_j that is not a homomorphism
-        raises on every call."""
+        stabilizer_image(self, r, volts), where ``volts``, if given, are the
+        fundamental cycles' j-voltages (the relator check's sweep has them
+        at hand).  A rho_j that is not a homomorphism raises on every
+        call."""
         r = j % self.period
         if r not in self._rho:
             if isinstance(self.target, AbelianGroup) and r != 1 % self.period:
@@ -96,7 +88,7 @@ class FiniteQuotient:
                 self._rho[r] = dict(zip(rho_1, values)), Subgroup(
                     values[0].parent_key(), values, frozenset(values))
             else:
-                self._rho[r] = stabilizer_image(self, r)
+                self._rho[r] = stabilizer_image(self, r, volts)
         return self._rho[r]
 
     @cached_property
@@ -151,78 +143,77 @@ def _complete_theta(pres, theta):
 
 
 def verify_abelian_exact(pres: GbbPresentation, target: AbelianGroup, theta):
-    """Exact relator verification for an abelian target.  There every
-    power product at exponent j is the j-th power of the plain product,
-    so rho_j = j rho_1, and theta kills every relator iff
-      (a) rho_1 is a homomorphism: the cycles' values factor through their
-          commuting deck labels, i.e. theta vanishes on every integer
-          combination of cycle-basis loops whose deck monodromy is trivial
-          (those combinations are exactly the lifting classes an abelian
-          group can distinguish); a clash is raised naming (deck element,
-          label), as verify_bounded names it outside S, and
-      (b) d * theta(b) = 0 for every basis loop b, where d generates the
-          subgroup of Z generated by the exponent set (this encodes the
-          n-in-S relator family, which is closed under the shifts by d).
-    rho_1 stays on the quotient, which reads every other rho_j off it
-    for the torsion check and the cube builder.  Returns the verified
-    quotient."""
-    full = _complete_theta(pres, theta)
-    cover = pres.cover
-    labels = list(cover.monodromy.generators)
-    for a, b in itertools.combinations(labels, 2):
-        if a * b != b * a:
-            raise QuotientError(
-                "exact verification needs commuting deck monodromy labels"
-            )
-    quotient = FiniteQuotient(pres, target, full, "abelian-exact", None)
-    quotient.rho(1)
-    tau = quotient.tau
-    cert = quotient.certificate = AbelianExactCertificate(
-        mode="abelian-exact",
-        basis_loops=list(cover.cycle_basis.values()),
-        basis_labels=labels,
-        kernel_generators=[],
-        d=gcd_of_set(pres.S),
-    )
-    for (a, b), loop in cover.cycle_basis.items():
-        v = tau[a] * full[(a, b)] * tau[b].inverse()
-        cert.checks.append(("exponent-family", loop,
-                            (v ** cert.d).is_identity()))
-    bad = [c for c in cert.checks if not c[-1]]
-    if bad:
-        raise QuotientError(f"theta does not kill the relators: {bad[:3]}")
-    return quotient
+    """verify_bounded onto an abelian target.  The name is kept for its
+    callers and for perfbench's tracer, which wraps it."""
+    return verify_bounded(pres, theta, target)
 
 
-def verify_bounded(pres, theta):
-    """Exact relator verification for any finite target.  At exponent j,
-    a loop's power product is its voltage under e -> theta(e)^j, which is
-    multiplicative along loops (Gross and Tucker, Topological Graph
-    Theory, 1987), so the fundamental cycles decide at each j of one
-    period: in S their voltages must be trivial, and failures name
-    (fundamental cycle, j); outside S only the lifting loops must die,
-    i.e. the voltages must factor through the deck labels, and rho_j names
-    where two of them clash.  The name is kept for perfbench's tracer,
-    which wraps the function by it."""
+def verify_bounded(pres, theta, target=None):
+    """Exact relator verification for any finite target; returns the
+    verified quotient.  At exponent j, a loop's power product is its
+    voltage under e -> theta(e)^j, which is multiplicative along loops
+    (Gross and Tucker, Topological Graph Theory, 1987), so the fundamental
+    cycles decide at each j of one period: in S their voltages must be
+    trivial, and failures name (fundamental cycle, j); outside S only the
+    lifting loops must die, i.e. the voltages must factor through the deck
+    labels, and rho_j names where two of them clash.  The residues are
+    swept in order, so each power of a nontrivial theta value on the
+    cycles is one product past the last.
+
+    Onto an AbelianGroup ``target`` (mode abelian-exact; otherwise
+    cycle-exact) the cycles' deck labels must commute, and rho_j = j rho_1,
+    so rho_1 and d v = 0 for each cycle value v, d the gcd of S, decide;
+    failures name (fundamental cycle, d).  perfbench's tracer wraps the
+    function by its name."""
     full = _complete_theta(pres, theta)
-    quotient = FiniteQuotient(pres, None, full, "cycle-exact", None)
     cover = pres.cover
+    abelian = isinstance(target, AbelianGroup)
+    if abelian:
+        for a, b in itertools.combinations(cover.monodromy.generators, 2):
+            if a * b != b * a:
+                raise QuotientError(
+                    "exact verification needs commuting deck monodromy labels"
+                )
+    mode = "abelian-exact" if abelian else "cycle-exact"
+    quotient = FiniteQuotient(pres, target, full, mode, None)
     cert = quotient.certificate = CycleCertificate(
-        mode="cycle-exact",
+        mode=mode,
         exponent_window=quotient.period,
         loops_checked=len(cover.cycle_basis),
     )
-    for j in range(cert.exponent_window):
-        if j not in pres.S:
-            quotient.rho(j)
-            continue
-        for loop in cover.cycle_basis.values():
-            if not power_product([full[e] for e in loop], j).is_identity():
-                cert.failures.append((loop, j))
+    if abelian:
+        quotient.rho(1)
+        tau, d = quotient.tau, gcd_of_set(pres.S)
+        for (a, b), loop in cover.cycle_basis.items():
+            v = tau[a] * full[(a, b)] * tau[b].inverse()
+            if not (v ** d).is_identity():
+                cert.failures.append((loop, d))
+    else:
+        loops = list(cover.cycle_basis.values())
+        values = list(dict.fromkeys(full[e] for loop in loops for e in loop
+                                    if not full[e].is_identity()))
+        powers = [g.identity_like() for g in values]     # g^j at residue j
+        at = {g: i for i, g in enumerate(values)}
+        cycles = [[at[full[e]] for e in loop if full[e] in at]
+                  for loop in loops]
+        for j in range(cert.exponent_window):
+            volts = []
+            for cycle in cycles:
+                v = quotient.identity
+                for i in cycle:
+                    v = v * powers[i]
+                volts.append(v)
+            if j in pres.S:
+                cert.failures += [(loop, j) for loop, v in zip(loops, volts)
+                                  if not v.is_identity()]
+            else:
+                quotient.rho(j, volts)
+            powers = [p * g for p, g in zip(powers, values)]
     if cert.failures:
-        raise QuotientError(
-            f"theta does not kill the relators: {cert.failures[:3]}"
-        )
+        shown = cert.failures[:3]
+        if abelian:    # named by the relator family that d generates
+            shown = [("exponent-family", loop, False) for loop, _ in shown]
+        raise QuotientError(f"theta does not kill the relators: {shown}")
     return quotient
 
 
@@ -230,7 +221,7 @@ def verify_bounded(pres, theta):
 # stabilizer images and torsion
 
 
-def stabilizer_image(quotient, j):
+def stabilizer_image(quotient, j, volts=None):
     """The map rho_j: deck -> target sending the deck label of a loop to
     its power product of theta at exponent j.  That power product is the
     loop's voltage under e -> theta(e)^j, so rho_j is fixed by the
@@ -238,14 +229,16 @@ def stabilizer_image(quotient, j):
     deck group, rho(1) = 1 and rho(g s_k) = rho(g) v_k at the step that
     first reaches g s_k, where s_k is the k-th cycle's deck label.  Every
     other step of the walk must agree; together they make rho_j a
-    homomorphism through which every voltage factors.  Returns (rho_j as a
-    dict in walk order, its image as the subgroup of its values).  For
-    residues j in the exponent set, rho_j is trivial by construction of
-    the certificates."""
+    homomorphism through which every voltage factors.  ``volts`` are the
+    v_k if the caller has them, else they are power products.  Returns
+    (rho_j as a dict in walk order, its image as the subgroup of its
+    values).  For residues j in the exponent set, rho_j is trivial by
+    construction of the certificates."""
     cover = quotient.presentation.cover
     walk, labels = cover.walk, cover.monodromy.generators
-    volts = [power_product([quotient.theta[e] for e in loop], j)
-             for loop in cover.cycle_basis.values()]
+    if volts is None:
+        volts = [power_product([quotient.theta[e] for e in loop], j)
+                 for loop in cover.cycle_basis.values()]
     value = [quotient.identity]
     for i, row in enumerate(cover.steps):
         for k, x in enumerate(row):

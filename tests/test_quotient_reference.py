@@ -29,12 +29,17 @@ word per deck element, and rho_j was evaluated along the tree of those
 words; the cover now walks only the monodromy group along the cycles'
 labels, and rho_j is read off that walk from the cycles' voltages.  The
 walk must meet what the total space meets, and rho_j must equal both
-replaced evaluations."""
+replaced evaluations.  The abelian check and the per-residue check were
+two functions with two certificates, and the per-residue check raised
+every cycle label to the j-th power at each residue; the library now has
+one check, which sweeps the residues in order, and it must give the
+replaced checks' errors, certificate fields and cached rho_j."""
 
 import functools
 import itertools
 import math
 import sys
+from dataclasses import dataclass, field
 from math import lcm
 
 import pytest
@@ -52,10 +57,11 @@ from gbbkit.groups import (AbelianElement, AbelianGroup, Permutation,
                            cayley_walk, power_product, subgroup_closure)
 from gbbkit.intsets import PeriodicSet, gcd_of_set
 from gbbkit.presentation import GbbPresentation, loops_upto
-from gbbkit.quotients import (FiniteQuotient, _complete_theta,
-                              cocycle_recipe, hw_product_quotient,
-                              kernel_torsion_free, stabilizer_image,
-                              verify_abelian_exact, verify_bounded)
+from gbbkit.quotients import (CycleCertificate, FiniteQuotient,
+                              _complete_theta, cocycle_recipe,
+                              hw_product_quotient, kernel_torsion_free,
+                              stabilizer_image, verify_abelian_exact,
+                              verify_bounded)
 from gbbkit.simplicial import build_complex, subdivide_graph_edges
 
 # --- the closure oracles -------------------------------------------------------
@@ -609,14 +615,20 @@ def labelling_families():
         for factors in ((4,), (2, 2), (8,), (2, 4)):
             yield (GbbPresentation(square, cover, PeriodicSet.multiples(m)),
                    AbelianGroup(factors))
-    chorded = chorded_square()
-    a, b = KLEIN.generators
-    cover = build_cover(chorded, KLEIN, {("v0", "v1"): a, ("v0", "v2"): b},
-                        "v0")
     for m in (2, 4):
         for factors in ((2, 2), (4,)):
-            yield (GbbPresentation(chorded, cover, PeriodicSet.multiples(m)),
+            yield (chorded_klein_presentation(PeriodicSet.multiples(m)),
                    AbelianGroup(factors))
+
+
+def chorded_klein_presentation(S):
+    """The chorded square with deck Klein-four, one generator on each of
+    the edges v0 v1 and v0 v2, and exponent set S."""
+    a, b = KLEIN.generators
+    L = chorded_square()
+    return GbbPresentation(L, build_cover(L, KLEIN, {("v0", "v1"): a,
+                                                     ("v0", "v2"): b}, "v0"),
+                           S)
 
 
 def every_theta(pres, target):
@@ -825,7 +837,8 @@ def test_label_kernel_matches_the_box(wreaths):
     """The Schreier generators of the walk: the same generator list as
     the box for a single label (every quotient of the family above has
     first Betti number 1), and the same lattice for several labels."""
-    singles = [q.certificate.basis_labels for q in abelian_quotients()]
+    singles = [q.presentation.cover.monodromy.generators
+               for q in abelian_quotients()]
     assert {len(labels) for labels in singles} == {1}
     for labels in singles:
         assert (schreier_kernel_generators(labels, walk_steps(labels))
@@ -860,7 +873,7 @@ def test_label_kernel_past_the_box():
                          for i in range(1, 4) for j in range(1, 5)}, "a1")
     q = cocycle_recipe(GbbPresentation(L, cover, PeriodicSet.multiples(13)))
     cert = q.certificate
-    labels = cert.basis_labels
+    labels = cover.monodromy.generators
     assert len(labels) == 6 and all(h.order() == 13 for h in labels)
     with pytest.raises(QuotientError, match=r"\(4826809 > 2000000\)"):
         reference_label_kernel_generators(labels)
@@ -874,7 +887,7 @@ def test_label_kernel_past_the_box():
     assert math.prod(basis[i][i] for i in range(6)) == 13
     assert reference_abelian_exact(q.presentation, q.target,
                                    q.theta) == (True, True)
-    assert cert.passed and cert.kernel_generators == []
+    assert cert.passed and len(cert.kernel_generators) == 0
     assert kernel_torsion_free(q) == per_residue_kernel_torsion_free(q) == (
         True, None)
 
@@ -973,7 +986,7 @@ def test_exact_check_matches_the_abelian_check_on_the_square(modulus):
             theta = {SQUARE_EDGES[name]: target.element((c,))
                      for name, c in zip("abcd", coords)}
             try:
-                verify_abelian_exact(pres, target, theta)
+                two_check_abelian_exact(pres, target, theta)
                 abelian = True
             except QuotientError:
                 abelian = False
@@ -983,6 +996,180 @@ def test_exact_check_matches_the_abelian_check_on_the_square(modulus):
             verdicts.append(exact)
     assert (len(verdicts), sum(verdicts)) == (
         16 + 256, {2: 16 + 128, 1: 8 + 64}[modulus])
+
+
+# --- the two-check oracle ---------------------------------------------------------
+
+
+@dataclass
+class AbelianExactCertificate:
+    mode: str
+    basis_loops: list          # cycle-basis loops (directed edge tuples)
+    basis_labels: list         # their deck monodromy elements
+    # empty: rho_1 decides the label kernel without spanning vectors; the
+    # field stays for readers of its length (perfbench's tracer)
+    kernel_generators: list
+    d: int                     # additive generator of the subgroup <S>
+    checks: list = field(default_factory=list)
+    passed: bool = True
+
+
+def two_check_abelian_exact(pres, target, theta):
+    """The replaced abelian check: rho_1, then d * v = 0 for every cycle
+    value v, with its own certificate."""
+    full = _complete_theta(pres, theta)
+    cover = pres.cover
+    labels = list(cover.monodromy.generators)
+    for a, b in itertools.combinations(labels, 2):
+        if a * b != b * a:
+            raise QuotientError(
+                "exact verification needs commuting deck monodromy labels"
+            )
+    quotient = FiniteQuotient(pres, target, full, "abelian-exact", None)
+    quotient.rho(1)
+    tau = quotient.tau
+    cert = quotient.certificate = AbelianExactCertificate(
+        mode="abelian-exact",
+        basis_loops=list(cover.cycle_basis.values()),
+        basis_labels=labels,
+        kernel_generators=[],
+        d=gcd_of_set(pres.S),
+    )
+    for (a, b), loop in cover.cycle_basis.items():
+        v = tau[a] * full[(a, b)] * tau[b].inverse()
+        cert.checks.append(("exponent-family", loop,
+                            (v ** cert.d).is_identity()))
+    bad = [c for c in cert.checks if not c[-1]]
+    if bad:
+        raise QuotientError(f"theta does not kill the relators: {bad[:3]}")
+    return quotient
+
+
+def two_check_bounded(pres, theta):
+    """The replaced per-residue check: at each residue of one period, one
+    power product per fundamental cycle for j in S, and rho_j, from its own
+    power products, outside S."""
+    full = _complete_theta(pres, theta)
+    quotient = FiniteQuotient(pres, None, full, "cycle-exact", None)
+    cover = pres.cover
+    cert = quotient.certificate = CycleCertificate(
+        mode="cycle-exact",
+        exponent_window=quotient.period,
+        loops_checked=len(cover.cycle_basis),
+    )
+    for j in range(cert.exponent_window):
+        if j not in pres.S:
+            quotient.rho(j)
+            continue
+        for loop in cover.cycle_basis.values():
+            if not power_product([full[e] for e in loop], j).is_identity():
+                cert.failures.append((loop, j))
+    if cert.failures:
+        raise QuotientError(
+            f"theta does not kill the relators: {cert.failures[:3]}"
+        )
+    return quotient
+
+
+def checked(check, *args):
+    """(error class and message or None, certificate fields, every cached
+    rho_j with its image's elements) of one run of a relator check.  The
+    quotient it builds is caught at construction, so a rejected theta
+    still shows its certificate and the rho_j cached before the failure.
+    The replaced abelian certificate shows (mode, cycles, failures) as
+    (mode, basis loops, (loop, d) for each failed check)."""
+    built = []
+    init = FiniteQuotient.__init__
+
+    def catch(self, *a):
+        init(self, *a)
+        built.append(self)
+
+    FiniteQuotient.__init__ = catch
+    try:
+        check(*args)
+        error = None
+    except QuotientError as err:
+        error = (type(err), str(err))
+    finally:
+        FiniteQuotient.__init__ = init
+    (q,) = built
+    cert = q.certificate
+    if cert is None:
+        fields = None
+    elif isinstance(cert, AbelianExactCertificate):
+        fields = (cert.mode, len(cert.basis_loops),
+                  [(loop, cert.d) for _, loop, ok in cert.checks if not ok])
+    elif cert.mode == "abelian-exact":
+        fields = cert.mode, cert.loops_checked, cert.failures
+    else:
+        fields = (cert.mode, cert.exponent_window, cert.loops_checked,
+                  cert.failures)
+    rho = {r: (rho, image.elements) for r, (rho, image) in q._rho.items()}
+    return error, fields, rho
+
+
+def assert_one_check_is_two(pres, theta, target=None):
+    """verify_bounded with ``target`` gives the replaced check's run: onto
+    an abelian target the abelian check's, otherwise the per-residue
+    check's.  Returns the error, if any."""
+    if isinstance(target, AbelianGroup):
+        want = checked(two_check_abelian_exact, pres, target, theta)
+    else:
+        want = checked(two_check_bounded, pres, theta)
+    got = checked(verify_bounded, pres, theta, target)
+    if want[1] is None:     # the abelian check certified after rho_1 only
+        got = got[0], None, got[2]
+    assert got == want, theta
+    return got[0]
+
+
+def test_one_check_matches_both_checks_on_the_labelling_families():
+    """Every theta of the rho_1 labelling families, onto its abelian
+    target."""
+    errors = [assert_one_check_is_two(pres, theta, target)
+              for pres, target in labelling_families()
+              for theta in every_theta(pres, target)]
+    kinds = {err[1].split(":")[0].split(" at ")[0]
+             for err in errors if err is not None}
+    assert kinds == {"rho_1 is not a homomorphism",
+                     "theta does not kill the relators"}
+    assert 0 < errors.count(None) < len(errors)
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 1])
+def test_one_check_matches_both_checks_on_the_squares(modulus):
+    """Every Z/2 and Z/4 labelling of the square and of the chorded square
+    over its Klein-four cover, at S = modulus Z, in both modes.  With
+    S = Z both cycles of the chorded square can fail at one residue."""
+    S = PeriodicSet.multiples(modulus)
+    errors = []
+    for pres in (square_presentation(S=S), chorded_klein_presentation(S)):
+        for factor in (2, 4):
+            target = AbelianGroup((factor,))
+            for theta in every_theta(pres, target):
+                for mode_target in (target, None):
+                    errors.append(
+                        assert_one_check_is_two(pres, theta, mode_target))
+    assert 0 < errors.count(None) < len(errors)
+
+
+def test_one_check_matches_both_checks_on_the_quotient_families(wreaths):
+    """The torsion family (the square fixtures, the cocycle quotients and
+    their hw-products) in both modes, the wreaths, and every perturbed
+    wreath at n = 2 and 3."""
+    for q in torsion_family():
+        assert assert_one_check_is_two(q.presentation, q.theta,
+                                       q.target) is None
+        assert assert_one_check_is_two(q.presentation, q.theta) is None
+    for res in wreaths.values():
+        assert assert_one_check_is_two(res.presentation,
+                                       res.quotient.theta) is None
+    for n in (2, 3):
+        res = rose_wreath_recipe(r=4, n=n)
+        errors = [assert_one_check_is_two(res.presentation, theta)
+                  for theta in perturbed(res)]
+        assert 0 < errors.count(None) < len(errors)
 
 
 # --- the rotation oracle ----------------------------------------------------------

@@ -10,7 +10,9 @@ from gbbkit.errors import QuotientError
 from gbbkit.fixtures import (SQUARE_EDGES, cycle_complex, rose_wreath_recipe,
                              square_presentation, square_quotient_bits,
                              triple_cover_presentation, triple_cover_quotient)
-from gbbkit.groups import AbelianGroup, Permutation, PermutationGroup
+from gbbkit import groups, quotients
+from gbbkit.groups import (AbelianGroup, Permutation, PermutationGroup,
+                           TupleElement)
 from gbbkit.intsets import PeriodicSet
 from gbbkit.presentation import GbbPresentation
 from gbbkit.quotients import (cocycle_recipe, hw_product_quotient,
@@ -177,6 +179,48 @@ def test_bounded_certificate_rejects():
     with pytest.raises(QuotientError):
         # order-3 values cannot die at every even exponent
         verify_bounded(pres, bits_theta((1, 0, 0, 0), t3))
+
+
+def test_relator_check_sweeps_the_residues(monkeypatch):
+    """On rose_wreath_recipe(r=8, n=8) the relator check raises nothing
+    to a power: at each residue it builds the cycles' voltages from one
+    current power per distinct nontrivial theta value on the cycles, walks
+    the deck group, and advances those powers by one product each.  So it
+    takes at most period * (values + cycle edges + |walk| * cycles) = 224
+    products, and at most 152 counting nontrivial values and edges alone;
+    advancing every theta value, the reverse edges' included, takes more.
+    Onto Z/2 x Z/P, P = 10^9 + 7, it evaluates rho_1 alone, whatever the
+    period 2P."""
+    from test_cli import count_calls
+
+    res = rose_wreath_recipe(r=8, n=8)
+    pres, theta = res.presentation, res.quotient.theta
+    cover = pres.cover
+    on_cycles = [theta[e] for loop in cover.cycle_basis.values()
+                 for e in loop]
+    nontrivial = [g for g in on_cycles if not g.is_identity()]
+    period, walk, cycles = (res.quotient.period, len(cover.walk),
+                            len(cover.cycle_basis))
+    sizes = (period, len(set(on_cycles)), len(set(nontrivial)),
+             len(on_cycles), len(nontrivial), walk, cycles)
+    assert sizes == (8, 6, 5, 16, 8, 3, 2)
+    counts = count_calls(monkeypatch, [(groups, "power_product"),
+                                       (TupleElement, "__mul__"),
+                                       (quotients, "stabilizer_image")])
+    assert verify_bounded(pres, theta).certificate.passed
+    assert counts["power_product"] == 0
+    assert counts["__mul__"] <= period * (
+        len(set(nontrivial)) + len(nontrivial) + walk * cycles) == 152
+    assert period * (len(set(on_cycles)) + len(on_cycles)
+                     + walk * cycles) == 224
+    P = 10 ** 9 + 7
+    target = AbelianGroup((2, P))
+    coords = {"a": (1, 1), "b": (0, P - 1), "c": (0, 0), "d": (0, 0)}
+    counts["stabilizer_image"] = 0
+    q = verify_abelian_exact(square_presentation(), target, {
+        SQUARE_EDGES[name]: target.element(c) for name, c in coords.items()})
+    assert q.period == 2 * P and q.certificate.passed
+    assert counts["stabilizer_image"] == 1
 
 
 # --- recipes -----------------------------------------------------------------
