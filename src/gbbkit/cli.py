@@ -427,7 +427,7 @@ def sweep_square_family(wrap=2):
     for bits in it.product((0, 1), repeat=4):
         if not any(bits):
             continue
-        q = square_quotient_bits(bits)
+        q = square_quotient_bits(bits, pres)
         tf, _ = kernel_torsion_free(q)
         rows.append({"bits": "".join(map(str, bits)), "torsion_free_kernel": tf})
         if tf:
@@ -455,7 +455,7 @@ def sweep_square_family(wrap=2):
             "special": rep.special,
         })
         all_non_special = all_non_special and not rep.special
-    q16 = square_index16_quotient()
+    q16 = square_index16_quotient(pres)
     rep16 = specialness(build_quotient(pres, q16, wrap))
     verdicts["index2_all_non_special"] = all_non_special
     verdicts["index16_special"] = rep16.special

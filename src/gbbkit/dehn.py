@@ -14,7 +14,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, groupby, repeat
+from itertools import chain, compress, repeat
+from operator import add, ne, sub
 
 from .errors import DehnError, InternalError, WindowError
 from .intsets import GodelSet, PeriodicSet
@@ -217,11 +218,24 @@ def small_cancellation_check(pres, m, exponent_window):
 # between their neighbours'; when the gap is too narrow all runs are
 # relabelled and the heap is rebuilt from the keys.
 #
+# Chain heads.  For l >= 4 call run r dominated when its key has the same
+# (n, family) as run r-1's.  Then counts r and r+1 are both n, so r is a
+# whole block of r-1's match, which continues as r's does: t(r-1) >=
+# t(r), and on a tie r-1 has the smaller label.  Both keys share an
+# exponent, so r's entry could only be popped after r-1's step has
+# spliced r away or after that exponent was excluded.  The heap therefore
+# holds only the chain heads, the runs not dominated; the least entry
+# over the heads is the least over all keyed runs, ties included, so the
+# same step is chosen.  For l = 3 two partial blocks can outrun the chain,
+# and every keyed run is pushed.
+#
 # Recompute radius.  The match from run p reads at most runs p..p+l: each
 # run after p adds n letters until t reaches l*n.  A splice replaces a
 # stretch of runs, freely reduced and merged at its seams, so only the
 # keys of the l runs before the stretch and of the stretch itself change;
-# they are recomputed and pushed.
+# they are recomputed.  A run of [lo - l, lo + size] is pushed when it
+# heads its chain and its key or its left neighbour's key changed; the
+# run at lo + size keeps its key but has a new left neighbour.
 #
 # Lazy exclusion.  T is asked about an exponent only when the heap's top
 # key needs it; the answer is cached per call.  A non-member only removes
@@ -239,12 +253,14 @@ _LABEL_GAP = 1 << 32            # label spacing after a (re)labelling
 
 
 def _runs(word):
-    """Run-length encoding of a word as parallel lists (letters, counts)."""
-    letters, counts = [], []
-    for x, group in groupby(word):
-        letters.append(x)
-        counts.append(sum(1 for _ in group))
-    return letters, counts
+    """Run-length encoding of a word as parallel lists (letters, counts):
+    the runs start where a letter differs from the one before it."""
+    if not word:
+        return [], []
+    starts = [0, *compress(range(1, len(word)), map(ne, word, word[1:]))]
+    counts = list(map(sub, starts[1:], starts))
+    counts.append(len(word) - starts[-1])
+    return list(map(word.__getitem__, starts)), counts
 
 
 def _letters(runs):
@@ -304,11 +320,12 @@ def _initial_keys(letters, counts, l):
     keys = [_NO_MATCH] * size
     link = [0] * (size + 1)     # link[size] = 0 ends every chain
     chains = [0] * (size + 1)
+    mags = list(map(abs, letters))
     for q in range(size - 1, 0, -1):
-        x, y = letters[q - 1], letters[q]
-        if (x > 0) != (y > 0):
+        x = letters[q - 1]
+        if (x > 0) != (letters[q] > 0):
             continue
-        gap = (abs(y) - abs(x)) % l
+        gap = (mags[q] - mags[q - 1]) % l
         step = 1 if gap == 1 else -1 if gap == l - 1 else 0
         if not step:
             continue
@@ -317,11 +334,14 @@ def _initial_keys(letters, counts, l):
         k = chains[q] = (chains[q + 1] + 1 if link[q + 1] == step
                          and counts[q + 1] == n else 1)
         # run q-1: its partial block, k whole blocks, then a partial one
-        t = min(counts[q - 1], n) + k * n
+        c = counts[q - 1]
+        t = (c if c < n else n) + k * n
         if link[q + k] == step:
-            t += min(counts[q + k], n)
+            c = counts[q + k]
+            t += c if c < n else n
         L = l * n
-        t = min(t, L)
+        if t > L:
+            t = L
         if 2 * t > L:
             s = 1 if x > 0 else -1
             keys[q - 1] = (-t, n, _FAMILIES.index((s, step)))
@@ -332,10 +352,14 @@ def _labels(size):
     return list(range(_LABEL_GAP, (size + 1) * _LABEL_GAP, _LABEL_GAP))
 
 
-def _heap(keys, labels):
-    """A heap of (-t, n, family, label) over the runs with a match."""
-    heap = [key + (label,)
-            for key, label in zip(keys, labels) if key != _NO_MATCH]
+def _heap(keys, labels, l):
+    """A heap of (-t, n, family, label) over the runs with a match; for
+    l >= 4 only over the chain heads, the runs not dominated by the run
+    before them."""
+    befores = [_NO_MATCH, *keys] if l > 3 else repeat(_NO_MATCH)
+    heap = [key + (label,) for key, before, label in
+            zip(keys, befores, labels)
+            if key != _NO_MATCH and key[1:] != before[1:]]
     heapify(heap)
     return heap
 
@@ -425,11 +449,14 @@ def dehn_reduce(pres, word, trace=None):
     ``w = free_reduce(w[:i] + inserted + w[i + t:])``."""
     letters_in = word.letters if isinstance(word, Word) else tuple(word)
     l = pres.l
-    for x in letters_in:
-        if not 0 < abs(x) <= l:
-            raise DehnError(
-                f"letter {x} is not a generator a1..a{l} or an inverse")
-    letters, counts = _runs(free_reduce(letters_in))
+    bad = {x for x in set(letters_in) if not 0 < abs(x) <= l}
+    if bad:
+        x = next(x for x in letters_in if x in bad)
+        raise DehnError(
+            f"letter {x} is not a generator a1..a{l} or an inverse")
+    if 0 in map(add, letters_in, letters_in[1:]):
+        letters_in = free_reduce(letters_in)    # a letter meets its inverse
+    letters, counts = _runs(letters_in)
     excluded = set()            # exponents found not to be in T
     members = set()             # exponents found to be in T
     if l > 3:
@@ -438,7 +465,7 @@ def dehn_reduce(pres, word, trace=None):
         keys = [_run_key(letters, counts, p, l, excluded)
                 for p in range(len(letters))]
     labels = _labels(len(keys))
-    heap = _heap(keys, labels)
+    heap = _heap(keys, labels, l)
     while heap:
         neg_t, n, family, label = heappop(heap)
         p = bisect_left(labels, label)
@@ -474,16 +501,22 @@ def dehn_reduce(pres, word, trace=None):
         labels[lo:hi] = [left + (right - left) * j // (size + 1)
                          for j in range(1, size + 1)]
         keys[lo:hi] = [_NO_MATCH] * size
-        for r in range(max(0, lo - l), lo + size):
-            key = _run_key(letters, counts, r, l, excluded)
-            if key != keys[r]:
-                keys[r] = key
-                if key != _NO_MATCH:
-                    heappush(heap, key + (labels[r],))
+        changed = False         # run r - 1 is new or has a new key
+        for r in range(max(0, lo - l), min(lo + size + 1, len(keys))):
+            old = keys[r]
+            if r < lo + size:
+                keys[r] = _run_key(letters, counts, r, l, excluded)
+            else:
+                changed = True  # the run after the splice: a new neighbour
+            key = keys[r]
+            if key != _NO_MATCH and (key != old or changed and l > 3) and (
+                    l == 3 or not r or keys[r - 1][1:] != key[1:]):
+                heappush(heap, key + (labels[r],))
+            changed = key != old
         if right - left <= size:
             # no room between the neighbours: relabel every run
             labels = _labels(len(keys))
-            heap = _heap(keys, labels)
+            heap = _heap(keys, labels, l)
     return Word(_letters(zip(letters, counts)))
 
 

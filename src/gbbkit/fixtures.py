@@ -50,10 +50,12 @@ def square_presentation(S=None):
     return GbbPresentation(L, cover, S)
 
 
-def square_quotient_bits(bits):
+def square_quotient_bits(bits, pres=None):
     """Quotient onto C2 with theta(a), theta(b), theta(c), theta(d) given
-    by the four bits (edges a=(w,x), b=(x,y), c=(y,z), d=(z,w))."""
-    pres = square_presentation()
+    by the four bits (edges a=(w,x), b=(x,y), c=(y,z), d=(z,w)), of
+    ``pres`` or of a new square_presentation()."""
+    if pres is None:
+        pres = square_presentation()
     target = AbelianGroup((2,))
     theta = {
         SQUARE_EDGES[name]: target.element((bit,))
@@ -62,10 +64,11 @@ def square_quotient_bits(bits):
     return verify_abelian_exact(pres, target, theta)
 
 
-def square_index16_quotient():
+def square_index16_quotient(pres=None):
     """The coordinatewise quotient onto C2^4: each edge generator maps to
     its own basis vector."""
-    pres = square_presentation()
+    if pres is None:
+        pres = square_presentation()
     target = AbelianGroup((2, 2, 2, 2))
     theta = {}
     for i, name in enumerate("abcd"):

@@ -67,8 +67,11 @@ class PeriodicSet:
         return self.modulus == 1 and 0 in self.residues
 
     def window(self, lo, hi):
-        """Members in the closed interval [lo, hi]."""
-        return frozenset(m for m in range(lo, hi + 1) if m in self)
+        """Members in the closed interval [lo, hi]: for each residue r the
+        progression r + k*modulus, from its first member at or above lo."""
+        n = self.modulus
+        return frozenset(m for r in self.residues
+                         for m in range(lo + (r - lo) % n, hi + 1, n))
 
     # --- algebra --------------------------------------------------------
     def _on_lcm(self, other):

@@ -61,8 +61,13 @@ class FiniteQuotient:
     def target_exponent(self):
         """lcm of the orders of the theta images: every power product over
         theta is periodic in the exponent with this period.  For an abelian
-        target it is the exponent of the subgroup the images generate."""
-        return lcm(1, *(g.order() for g in self.theta.values()))
+        target it is the exponent of the subgroup the images generate.
+        theta(b, a) = theta(a, b)^-1 has the order of theta(a, b), and the
+        identity has order 1, so one order is taken per edge {a, b} with a
+        nontrivial value."""
+        values = {frozenset(e): g for e, g in self.theta.items()}
+        return lcm(1, *(g.order() for g in values.values()
+                        if not g.is_identity()))
 
     @cached_property
     def period(self):

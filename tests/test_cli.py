@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gbbkit
-from gbbkit import cubical, dehn, quotients
+from gbbkit import covers, cubical, dehn, quotients
 from gbbkit.cli import main
 from gbbkit.errors import InputError
 from gbbkit.io_formats import quotient_spec_from_json, set_from_json
@@ -207,6 +207,8 @@ def count_calls(monkeypatch, targets):
     # and by the relator check and both torsion checks of a recipe
     (["recipe", "--kind", "wreath", "--r", "12", "--n", "3"],
      {"stabilizer_image": 2}),
+    # the sweep verifies all 16 quotients on its one square presentation
+    (["report"], {"build_cover": 1}),
 ])
 def test_each_fact_is_computed_once(runner, monkeypatch, args, want):
     counts = count_calls(monkeypatch, [
@@ -214,7 +216,7 @@ def test_each_fact_is_computed_once(runner, monkeypatch, args, want):
         (cubical, "specialness"), (cubical, "hyperplanes"),
         (cubical, "vertex_link"), (cubical, "_link_mismatch"),
         (cubical, "_link_model"),
-        (quotients, "stabilizer_image")])
+        (quotients, "stabilizer_image"), (covers, "build_cover")])
     res = run(runner, *args)
     assert res.exit_code in (0, 1), res.output
     assert {name: counts[name] for name in want} == want

@@ -190,6 +190,16 @@ def test_generator_index_beyond_l_is_rejected():
     assert is_identity(pres, tuple(x for i in range(1, 14) for x in (i, i)))
 
 
+def test_the_first_bad_letter_in_word_order_is_named():
+    # each distinct letter is checked once, as a set; 40 comes first in
+    # the set {17, 40}, and 17 comes first in the word
+    pres = dehn_presentation_periodic(l=13)
+    assert list({17, 40}) == [40, 17]
+    with pytest.raises(DehnError, match="^letter 17 is not a generator "
+                                        "a1..a13 or an inverse$"):
+        dehn_reduce(pres, (2, 17, 3, 40, 17))
+
+
 def test_splice_mismatch_raises_internal_error(monkeypatch):
     real = dehn._family_rotation
 

@@ -17,9 +17,13 @@ pairwise piece scan is quadratic in the number of occurrences K, so the
 suite runs it on the cells of the (l, window, T) grid with K <= 300; the
 sorted-neighbour scan, O(K log K), runs on every cell of a wider grid."""
 
+import importlib
 import itertools
 import random
+import sys
 from collections import Counter
+from heapq import heappop
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +32,8 @@ from gbbkit.dehn import (CyclicPresentation, SmallCancellationReport, Word,
                          dehn_reduce, free_reduce, invert_word,
                          small_cancellation_check)
 from gbbkit.errors import DehnError
-from gbbkit.fixtures import dehn_presentation_godel
+from gbbkit.fixtures import (dehn_presentation_godel,
+                             dehn_presentation_periodic)
 from gbbkit.intsets import GodelSet, PeriodicSet
 from test_dehn import replay
 
@@ -409,6 +414,115 @@ def test_one_pass_keys_match_per_run_keys():
         assert dehn._initial_keys(letters, counts, l) == [
             dehn._run_key(letters, counts, p, l, set())
             for p in range(len(letters))], (l, letters, counts)
+
+
+def test_a_run_keyed_like_its_left_neighbour_is_dominated():
+    """Where run r's key has the (n, family) of run r-1's, r is a whole
+    block of r-1's match, so r-1's match is at least as long: its key is
+    smaller, or both cover a whole relator and r-1's smaller label breaks
+    the tie.  So the heap needs only the chain heads."""
+    rng = random.Random(13)
+    dominated = ties = 0
+    for _ in range(3000):
+        l = rng.randrange(4, 14)
+        letters, counts = random_runs(rng, l, rng.randrange(0, 40))
+        keys = dehn._initial_keys(letters, counts, l)
+        for r in range(1, len(keys)):
+            if keys[r] != dehn._NO_MATCH and keys[r - 1][1:] == keys[r][1:]:
+                neg_t, n, _ = keys[r]
+                assert keys[r - 1] < keys[r] or (
+                    keys[r - 1] == keys[r] and -neg_t == l * n), \
+                    (l, letters, counts, r)
+                dominated += 1
+                ties += keys[r - 1] == keys[r]
+    assert dominated > 1000 and 0 < ties < dominated
+
+
+def first_heap(monkeypatch, pres, word):
+    """The entries of the heap dehn_reduce builds first, over the runs of
+    ``word``, sorted."""
+    heaps = []
+    real = dehn._heap
+
+    def kept(*args):
+        heap = real(*args)
+        heaps.append(sorted(heap))
+        return heap
+
+    monkeypatch.setattr(dehn, "_heap", kept)
+    dehn_reduce(pres, word)
+    monkeypatch.setattr(dehn, "_heap", real)
+    return heaps[0]
+
+
+def test_first_heap_holds_the_chain_heads_or_every_keyed_run(monkeypatch):
+    # for l = 3 two partial blocks can outrun a chain, so every keyed run
+    # is pushed; for l >= 4 only the runs keyed unlike their left
+    # neighbour
+    skipped = Counter()     # keyed runs left out of the first heap
+    for l in (3, 4, 7):
+        pres = CyclicPresentation(l, EXPONENT_SETS["Z"])
+        rng = random.Random(f"heads-{l}")
+        for word in relator_products(rng, pres, 20, factors=(3, 8)):
+            letters, counts = dehn._runs(free_reduce(word))
+            keys = [dehn._run_key(letters, counts, p, l, set())
+                    for p in range(len(letters))]
+            labels = dehn._labels(len(keys))
+            keyed = [key + (label,) for key, label in zip(keys, labels)
+                     if key != dehn._NO_MATCH]
+            heads = [key + (label,) for key, before, label in
+                     zip(keys, [dehn._NO_MATCH] + keys, labels)
+                     if key != dehn._NO_MATCH and key[1:] != before[1:]]
+            heap = first_heap(monkeypatch, pres, word)
+            assert heap == sorted(keyed if l == 3 else heads), (l, word)
+            skipped[l] += len(keyed) - len(heap)
+    assert skipped[3] == 0 and skipped[4] > 0 and skipped[7] > 0
+
+
+def test_few_heap_pops_per_step(monkeypatch):
+    # the CI step's 2Z generator at 5,012 letters: every run of a chain
+    # was once pushed and popped, 1,007 pops for 123 steps
+    pres, rng, word = dehn_presentation_periodic(l=13), random.Random(1), []
+    while len(word) < 5000:
+        u = [rng.choice((1, -1)) * rng.randrange(1, 14)
+             for _ in range(rng.randrange(3))]
+        word += u + list(pres.relator(rng.choice((-4, -2, 2, 4)))) + list(
+            invert_word(u))
+    pops = 0
+
+    def counted(heap):
+        nonlocal pops
+        pops += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(dehn, "heappop", counted)
+    trace = []
+    assert len(dehn_reduce(pres, word, trace)) == 0
+    assert (len(word), len(trace)) == (5012, 123)
+    assert pops <= 2 * len(trace)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_reduce_jobs_match_reference(monkeypatch):
+    """The seed-7 reduce jobs of the benchmark's words workload: 20 words
+    of 100 to 5,000 letters over 2Z, the digit-encoded set and its
+    periodic approximations."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        words = importlib.import_module("words")
+    finally:
+        # perfbench's top-level module names are generic; do not keep them
+        for name in ("words", "common"):
+            sys.modules.pop(name, None)
+    jobs = [job.inputs for job in words.make_jobs(7)
+            if job.run is words.run_reduce]
+    assert len(jobs) == 20
+    for job in jobs:
+        pres = CyclicPresentation(words.L,
+                                  words.build_T(job["kind"], job["level"]))
+        assert_same_reduction(pres, job["word"])
 
 
 PIECE_GRID = [

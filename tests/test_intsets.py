@@ -1,6 +1,7 @@
 """Integer-set layer: periodic sets, digit-encoded sets, approximations."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,31 @@ def test_membership_and_window():
     s = PeriodicSet.multiples(3)
     assert 0 in s and -3 in s and 4 not in s
     assert s.window(-4, 7) == frozenset({-3, 0, 3, 6})
+
+
+def test_window_matches_membership():
+    """window lists each residue's progression from lo; it must return
+    exactly the integers of [lo, hi] that membership accepts: random
+    moduli and residue sets, the empty set, all of Z, negative lo, and
+    lo > hi."""
+    rng = random.Random(5)
+    sets = [PeriodicSet.empty(), PeriodicSet.all_integers(),
+            PeriodicSet(10 ** 5, {0, 1, 100, 101})]
+    for _ in range(300):
+        modulus = rng.randrange(1, 40)
+        sets.append(PeriodicSet(modulus, {
+            rng.randrange(-50, 50) for _ in range(rng.randrange(modulus + 1))}))
+    intervals = 0
+    for s in sets:
+        for _ in range(6):
+            lo = rng.randrange(-120, 120)
+            hi = lo + rng.randrange(-6, 150)
+            intervals += lo > hi
+            assert s.window(lo, hi) == frozenset(
+                m for m in range(lo, hi + 1) if m in s), (s, lo, hi)
+    assert intervals > 0
+    assert PeriodicSet.all_integers().window(-3, 2) == frozenset(range(-3, 3))
+    assert PeriodicSet.empty().window(-3, 2) == frozenset()
 
 
 periodic_sets = st.builds(

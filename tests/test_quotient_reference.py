@@ -266,6 +266,32 @@ def test_rho_is_one_stabilizer_image_per_residue(wreaths):
             assert q.rho(j + period) is q.rho(j)
 
 
+def reference_target_exponent(q):
+    """The lcm of the orders of every theta value, reverse edges and
+    identity values included."""
+    return lcm(1, *(g.order() for g in q.theta.values()))
+
+
+def test_target_exponent_matches_every_order(wreaths):
+    """One order per edge with a nontrivial value gives the exponent of
+    the orders of every value: on the fixtures, the torsion family, the
+    wreaths, and every theta of the labelling families."""
+    family = torsion_family() + [res.quotient for res in wreaths.values()]
+    family += [rose_wreath_recipe().quotient, square_cocycle_quotient()]
+    for q in family:
+        assert q.target_exponent() == reference_target_exponent(q)
+    tried = 0
+    for pres, target in labelling_families():
+        for theta in every_theta(pres, target):
+            q = FiniteQuotient(pres, target, _complete_theta(pres, theta),
+                               "unverified", None)
+            assert q.target_exponent() == reference_target_exponent(q)
+            assert q.period == lcm(pres.S.modulus,
+                                   reference_target_exponent(q))
+            tried += 1
+    assert tried == 3 * (256 + 256 + 4096 + 4096) + 2 * (1024 + 1024)
+
+
 def test_faithful_representation_keeps_the_exponent(wreaths):
     values = list(wreaths[(4, 2)].quotient.theta.values())
     for a in values:

@@ -223,6 +223,19 @@ def test_relator_check_sweeps_the_residues(monkeypatch):
     assert counts["stabilizer_image"] == 1
 
 
+def test_target_exponent_takes_one_order_per_nontrivial_edge(monkeypatch):
+    """theta(b, a) = theta(a, b)^-1 has the order of theta(a, b), and half
+    of the rose wreath's values are the identity: of the 32 directed
+    edges of rose_wreath_recipe(r=8, n=4), at most 8 need an order."""
+    from test_cli import count_calls
+
+    counts = count_calls(monkeypatch, [(TupleElement, "order")])
+    res = rose_wreath_recipe(r=8, n=4)
+    assert len(res.quotient.theta) == 32
+    assert res.quotient.period == 4
+    assert 0 < counts["order"] <= 8
+
+
 # --- recipes -----------------------------------------------------------------
 
 
